@@ -10,9 +10,10 @@
 //! example script (Figure 2).
 //!
 //! The paper supplies the ISA to MicroProbe as readable text files transcribed from the
-//! Power ISA v2.06B manual.  Here the same information is provided as a declarative Rust
-//! table ([`power_isa::power_isa_v206b`]) which keeps the definition auditable and
-//! easily extensible while avoiding a file-parsing dependency.
+//! Power ISA v2.06B manual.  So does this crate: the definition is the declarative
+//! spec file `specs/power7.isa`, read by the crate's own [`spec`] parser and exposed
+//! through [`power_isa::power_isa_v206b`].  [`spec::spec_digest`] fingerprints spec
+//! text with the workspace's one hash, [`fnv`].
 //!
 //! # Example
 //!
@@ -32,6 +33,7 @@ pub mod asm;
 pub mod def;
 pub mod encoding;
 pub mod flags;
+pub mod fnv;
 pub mod instruction;
 pub mod isa;
 pub mod operand;

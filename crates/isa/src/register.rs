@@ -70,7 +70,8 @@ impl RegisterFile {
         }
     }
 
-    /// All register files, in a stable order.
+    /// All register files, in a stable order: a file's position is its number in the
+    /// runtime's kernel encoding, which job keys hash and the wire carries.
     pub const ALL: [RegisterFile; 10] = [
         RegisterFile::Gpr,
         RegisterFile::Fpr,

@@ -41,6 +41,7 @@ use std::sync::{Mutex, OnceLock};
 
 use crate::def::{Format, InstructionDef, IssueClass, LatencyClass, OperandWidth, Unit};
 use crate::flags::InstrFlags;
+use crate::fnv::Fnv128;
 use crate::isa::Isa;
 use crate::operand::OperandKind;
 use crate::register::{RegAccess, RegisterFile};
@@ -709,22 +710,16 @@ pub fn power7_isa() -> Isa {
 
 /// A 128-bit FNV-1a digest of spec text, used to fingerprint backend identities.
 ///
-/// Deterministic across processes and platforms (unlike `DefaultHasher`), so digests
-/// can be embedded in job keys that persist across runs.
+/// Deterministic across processes and platforms, so digests can be embedded in job
+/// keys that persist across runs.
 pub fn spec_digest(parts: &[&str]) -> u128 {
-    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-    let mut hash = OFFSET;
+    let mut hasher = Fnv128::default();
     for part in parts {
-        for byte in part.as_bytes() {
-            hash ^= u128::from(*byte);
-            hash = hash.wrapping_mul(PRIME);
-        }
+        hasher.write(part.as_bytes());
         // Separator so ("ab","c") and ("a","bc") differ.
-        hash ^= 0x1f;
-        hash = hash.wrapping_mul(PRIME);
+        hasher.write(&[0x1f]);
     }
-    hash
+    hasher.finish()
 }
 
 #[cfg(test)]

@@ -29,6 +29,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 
+use mp_isa::fnv::fnv1a64;
+
 use crate::poison;
 
 /// Environment variable holding the fault plan, e.g.
@@ -192,16 +194,11 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// FNV-1a over a site name, folding it into the decision stream.
-fn site_hash(site: &str) -> u64 {
-    site.bytes().fold(0xcbf29ce484222325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100000001b3))
-}
-
 /// One deterministic decision: did occurrence `n` of `site` fire under `rate`?
 /// Returns the raw hash too, so callers can derive secondary choices (e.g. the torn
 /// truncation offset) from the same draw.
 fn decide(seed: u64, site: &str, n: u64, rate: f64) -> (bool, u64) {
-    let h = mix(seed ^ site_hash(site) ^ n.wrapping_mul(0x2545F4914F6CDD1D));
+    let h = mix(seed ^ fnv1a64(site.as_bytes()) ^ n.wrapping_mul(0x2545F4914F6CDD1D));
     // Top 53 bits → uniform in [0, 1) with full f64 precision.
     let uniform = (h >> 11) as f64 / (1u64 << 53) as f64;
     (uniform < rate, h)

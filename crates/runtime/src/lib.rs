@@ -23,13 +23,17 @@
 //!    (opt-in via `MP_STORE_DIR`) that turns the session's memo cache into a second,
 //!    disk-backed tier surviving restarts, with torn/corrupt/stale records quarantined
 //!    and recomputed instead of crashing;
-//! 5. [`faults`] — deterministic, seeded fault injection (`MP_FAULTS`) that drives IO
+//! 5. [`codec`] — the one byte codec: little-endian writers, a bounds-checked
+//!    [`Cursor`](codec::Cursor), and the canonical measurement and kernel encodings
+//!    that the store, the wire protocol and the job keys all share;
+//! 6. [`faults`] — deterministic, seeded fault injection (`MP_FAULTS`) that drives IO
 //!    errors and torn writes into the store, panics into simulation jobs and delays
 //!    into executor tasks, so every failure path above is provable in CI.
 //!
 //! `mp_bench::measure_benchmarks`, the experiment binaries, and the slow integration
 //! tests are all thin wrappers over these layers.
 
+pub mod codec;
 pub mod dse;
 pub mod executor;
 pub mod faults;

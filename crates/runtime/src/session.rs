@@ -2,11 +2,15 @@
 //!
 //! An [`ExperimentSession`] wraps a [`Platform`] and executes declarative
 //! [`ExperimentPlan`]s of `(benchmark, configuration)` measurement jobs.  Every job is
-//! content-hashed (the kernel body, data profile, misprediction rate and configuration —
-//! the benchmark *name* is deliberately excluded), duplicate jobs are measured once, and
+//! keyed by FNV-1a-128 over the machine-spec digest, the configuration and the
+//! [`codec`]'s canonical kernel encoding (body, data profile, misprediction rate — the
+//! benchmark *name* is deliberately excluded), duplicate jobs are measured once, and
 //! the resulting [`Measurement`]s are memoized across plan submissions for the lifetime
 //! of the session.  The figure drivers and the integration-test fixtures therefore stop
-//! re-measuring the same pairs for every figure/model/test case.
+//! re-measuring the same pairs for every figure/model/test case.  Keys are stable across
+//! processes, platforms and toolchains, so they name store records.  Records written
+//! under an older key scheme are never looked up again: a store filled before the
+//! switch to FNV-1a keys starts cold once, and its old records can be deleted.
 //!
 //! The cache has two tiers: the in-memory memo map, and — when `MP_STORE_DIR` is set
 //! (or a [`Store`] is attached via [`SessionOptions`]/[`with_store`]) — the crash-safe
@@ -27,7 +31,6 @@
 //! [`with_store`]: ExperimentSession::with_store
 
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -35,63 +38,35 @@ use microprobe::bootstrap::{Bootstrap, BootstrapOptions, BootstrapRecord};
 use microprobe::ir::MicroBenchmark;
 use microprobe::platform::Platform;
 use microprobe::synth::PassError;
+use mp_isa::fnv::Fnv128;
 use mp_power::{SampleKind, WorkloadSample};
 use mp_sim::Measurement;
 use mp_uarch::{CmpSmtConfig, InstrPropsTable};
 
 use crate::shard::ShardedCache;
 use crate::store::{Store, STORE_DIR_ENV};
-use crate::{executor, faults};
+use crate::{codec, executor, faults};
 
-/// A 128-bit content fingerprint of one measurement job.
+/// A 128-bit content fingerprint of one measurement job: FNV-1a-128 over the
+/// machine-spec `digest`, the configuration and the [`codec`]'s kernel encoding.
 ///
 /// Two jobs collide exactly when they would produce the same [`Measurement`]: the
-/// simulator is a pure function of the backend (fingerprinted by the machine-spec
-/// `digest`), the kernel *content* (loop body, data profile, misprediction rate) and
-/// the configuration, so the benchmark name is excluded — renamed copies of the same
+/// simulator is a pure function of the backend (fingerprinted by the digest), the
+/// kernel *content* (loop body, data profile, misprediction rate) and the
+/// configuration, so the benchmark name is excluded — renamed copies of the same
 /// kernel dedupe onto one measurement, but the same kernel measured on two backends
-/// occupies two cache entries.
-fn job_key(benchmark: &MicroBenchmark, config: CmpSmtConfig, digest: u128) -> u128 {
-    use std::fmt::Write as _;
-
-    /// Feeds formatted output into two hashers without materialising a string (kernel
-    /// bodies reach thousands of instructions, and keys are recomputed per submission —
-    /// including pure cache-hit replays).
-    struct DualHasher {
-        lo: std::collections::hash_map::DefaultHasher,
-        hi: std::collections::hash_map::DefaultHasher,
-    }
-
-    impl std::fmt::Write for DualHasher {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            s.hash(&mut self.lo);
-            s.hash(&mut self.hi);
-            Ok(())
-        }
-    }
-
+/// occupies two cache entries.  The kernel encoding numbers opcodes by ISA index; the
+/// digest covers the ISA text, so equal digests mean equal numbering.
+pub(crate) fn job_key(benchmark: &MicroBenchmark, config: CmpSmtConfig, digest: u128) -> u128 {
     let kernel = benchmark.kernel();
-    let mut hasher = DualHasher {
-        lo: std::collections::hash_map::DefaultHasher::new(),
-        hi: std::collections::hash_map::DefaultHasher::new(),
-    };
-    // Distinct per-half prefixes make the two 64-bit digests independent.
-    0xA5u8.hash(&mut hasher.lo);
-    0x5Au8.hash(&mut hasher.hi);
-    digest.hash(&mut hasher.lo);
-    digest.hash(&mut hasher.hi);
-    // The kernel body has no stable binary serialisation; its `Debug` form is a faithful
-    // content encoding (every operand, memory access and attribute).
-    write!(
-        hasher,
-        "{:?}|{:?}|{}|{:?}",
-        kernel.body(),
-        kernel.data_profile(),
-        kernel.mispredict_rate().to_bits(),
-        config
-    )
-    .expect("hashing formatter never fails");
-    (u128::from(hasher.hi.finish()) << 64) | u128::from(hasher.lo.finish())
+    let mut bytes = Vec::with_capacity(64 + kernel.len() * 24);
+    codec::put_u128(&mut bytes, digest);
+    codec::put_u32(&mut bytes, config.cores);
+    codec::put_u32(&mut bytes, config.smt.threads_per_core());
+    codec::encode_kernel(&mut bytes, kernel);
+    let mut hasher = Fnv128::default();
+    hasher.write(&bytes);
+    hasher.finish()
 }
 
 /// One labelled measurement job of a plan.
@@ -742,13 +717,6 @@ mod tests {
             "the same kernel on two backends files under two cache entries"
         );
 
-        // And the kernel-level fingerprint is backend-scoped the same way.
-        let kernel = bench.kernel();
-        assert_ne!(
-            kernel.content_hash_with(p7.platform().uarch().spec_digest),
-            kernel.content_hash_with(p8.platform().uarch().spec_digest),
-        );
-
         // Each session measures the kernel on its own machine: one miss per backend,
         // and the measurements genuinely differ.
         let m7 = p7.measure(&bench, config);
@@ -756,6 +724,56 @@ mod tests {
         assert_eq!(p7.stats().misses, 1);
         assert_eq!(p8.stats().misses, 1);
         assert_ne!(m7.average_power(), m8.average_power());
+    }
+
+    /// Keys name persistent store records, so a drift in the hash, the kernel encoding
+    /// or the spec digests would silently turn every warm store cold.
+    #[test]
+    fn job_keys_and_spec_digests_are_pinned() {
+        let (p7, p8) = (mp_uarch::power7(), mp_uarch::power8());
+        assert_eq!(p7.spec_digest, 0x2f7a_f288_01fd_8840_4109_4823_10b5_e4a3);
+        assert_eq!(p8.spec_digest, 0xbc5e_7fe0_9a63_1d52_3c77_1dde_2cf1_6b11);
+        let key = |arch: &mp_uarch::MicroArchitecture, fixture: usize, config| {
+            let kernel = mp_sim::fixtures::reference_kernels(&arch.isa).swap_remove(fixture);
+            job_key(&MicroBenchmark::from_kernel(kernel), config, arch.spec_digest)
+        };
+        let (one_one, four_two) =
+            (CmpSmtConfig::new(1, SmtMode::Smt1), CmpSmtConfig::new(4, SmtMode::Smt2));
+        let keys = [
+            key(&p7, 0, one_one),
+            key(&p7, 0, four_two),
+            key(&p7, 1, one_one),
+            key(&p7, 1, four_two),
+            key(&p8, 0, one_one),
+        ];
+        assert_eq!(
+            keys,
+            [
+                0x2be1_65cc_e520_3892_9975_6966_9c35_38ac,
+                0xee1f_7ade_66d7_46db_031b_259d_60fb_8746,
+                0xed3e_b556_4337_1af6_fdc7_62da_4fd2_421d,
+                0x5f09_5497_ed5e_d0da_e488_4b23_f53c_1f9b,
+                0x87e1_64a2_839b_9ac2_52b2_0046_3067_0bdc,
+            ]
+        );
+    }
+
+    #[test]
+    fn job_keys_fill_every_shard_fairly() {
+        let digest = digest_of();
+        let configs =
+            [(1, SmtMode::Smt1), (2, SmtMode::Smt2), (4, SmtMode::Smt2), (8, SmtMode::Smt4)];
+        let cache = ShardedCache::<()>::with_shards(8);
+        let mut counts = [0usize; 8];
+        for seed in 0..64 {
+            let bench = tiny_benchmark("spread", seed);
+            for (cores, smt) in configs {
+                let key = job_key(&bench, CmpSmtConfig::new(cores, smt), digest);
+                counts[cache.shard_index(key)] += 1;
+            }
+        }
+        // 256 keys over 8 shards: each holds between half and twice its fair share of 32.
+        assert!(counts.iter().all(|&count| (16..=64).contains(&count)), "{counts:?}");
     }
 
     #[test]

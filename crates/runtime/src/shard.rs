@@ -4,10 +4,12 @@
 //! one global `Mutex<HashMap>`, which serialised every submitter — fine for one driver
 //! thread, pathological for the measurement *service*, where many client connections
 //! submit batches against the same session concurrently.  [`ShardedCache`] splits the
-//! map into `next_pow2(4 × cores)` independently-locked shards selected by the low bits
-//! of the 128-bit job key (the key's low half is a hash output, so the low bits are
-//! uniformly distributed), so concurrent submitters only contend when they touch the
-//! same shard.
+//! map into `next_pow2(4 × cores)` independently-locked shards selected by the top bits
+//! of the 128-bit job key, so concurrent submitters only contend when they touch the
+//! same shard.  The top bits, because the key is an FNV-1a hash: its low bit `k`
+//! depends only on the low `k + 1` bits of every input byte, so the low bits spread
+//! structured inputs unevenly, while the top bits mix every input bit.  (The store
+//! picks its directory from the top byte for the same reason.)
 //!
 //! The entry count is tracked in a relaxed atomic beside the shards, so size queries
 //! (the `session.memo_entries` telemetry gauge, stats summaries) never take a shard
@@ -39,9 +41,9 @@ fn default_shards() -> usize {
 /// reference, so no caller ever holds a shard lock across its own code.
 pub struct ShardedCache<V> {
     shards: Box<[Mutex<HashMap<u128, V>>]>,
-    /// `shards.len() - 1`; the shard count is a power of two so masking the key's low
-    /// bits is the full selection function.
-    mask: usize,
+    /// `128 - log2(shards.len())`; the shard count is a power of two, so the key's top
+    /// `log2(shards.len())` bits are the full selection function.
+    shift: u32,
     /// Total entries across all shards, maintained on insert so size queries are
     /// lock-free.
     entries: AtomicUsize,
@@ -65,7 +67,7 @@ impl<V> ShardedCache<V> {
         let count = shards.max(1).next_power_of_two();
         let shards: Box<[Mutex<HashMap<u128, V>>]> =
             (0..count).map(|_| Mutex::new(HashMap::new())).collect();
-        Self { shards, mask: count - 1, entries: AtomicUsize::new(0) }
+        Self { shards, shift: 128 - count.trailing_zeros(), entries: AtomicUsize::new(0) }
     }
 
     /// The number of shards (always a power of two).
@@ -73,9 +75,13 @@ impl<V> ShardedCache<V> {
         self.shards.len()
     }
 
-    /// The shard a key lives in: selected by the key's low bits.
+    /// The index of the shard a key lives in: the key's top bits.
+    pub(crate) fn shard_index(&self, key: u128) -> usize {
+        key.checked_shr(self.shift).unwrap_or(0) as usize
+    }
+
     fn shard(&self, key: u128) -> &Mutex<HashMap<u128, V>> {
-        &self.shards[(key as usize) & self.mask]
+        &self.shards[self.shard_index(key)]
     }
 
     /// Whether `key` has an entry.
@@ -141,14 +147,15 @@ mod tests {
     }
 
     #[test]
-    fn keys_spread_over_shards_by_their_low_bits() {
+    fn keys_spread_over_shards_by_their_top_bits() {
         let cache = ShardedCache::<u32>::with_shards(8);
-        // Keys differing only above the mask land in the same shard; consecutive low
-        // bits sweep all shards.
-        assert!(std::ptr::eq(cache.shard(0x10), cache.shard(0xFF00_0000_0000_0010)));
-        let distinct: std::collections::HashSet<*const _> =
-            (0u128..8).map(|k| cache.shard(k) as *const _ as *const ()).collect();
-        assert_eq!(distinct.len(), 8, "8 consecutive keys hit 8 distinct shards");
+        // Keys differing only below the top three bits land in the same shard; the top
+        // three bits sweep all shards.
+        assert_eq!(cache.shard_index(0x10), cache.shard_index(0x1F00_0000_0000_0010));
+        let distinct: std::collections::HashSet<usize> =
+            (0u128..8).map(|k| cache.shard_index(k << 125)).collect();
+        assert_eq!(distinct.len(), 8, "the 8 top-bit patterns hit 8 distinct shards");
+        assert_eq!(ShardedCache::<u32>::with_shards(1).shard_index(u128::MAX), 0);
     }
 
     #[test]

@@ -30,9 +30,13 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use mp_sim::{EnergyBreakdown, Measurement, PowerTrace};
-use mp_uarch::{CmpSmtConfig, CounterValues, SmtMode};
+use mp_isa::fnv::fnv1a64;
+use mp_sim::Measurement;
 
+// The record payload is the codec's measurement encoding; these paths stay for callers
+// that import it from the store.
+pub use crate::codec::{decode_measurement, encode_measurement};
+use crate::codec::{put_u128, put_u64, Cursor};
 use crate::faults;
 
 /// Environment variable naming the store root directory.  When set, every
@@ -51,16 +55,6 @@ const HEADER_LEN: usize = 56;
 /// Write retries before degrading (attempt delays: 1 ms, 2 ms, 4 ms — bounded and
 /// deterministic, no jitter to keep failure schedules reproducible).
 const WRITE_RETRIES: u32 = 3;
-
-/// Hard cap on decoded vector lengths: no legitimate record exceeds it, and it bounds
-/// the allocation a corrupt length field could otherwise request.
-const MAX_VEC_LEN: u64 = 1 << 24;
-
-/// FNV-1a over the payload bytes — cheap, dependency-free, and plenty to detect torn
-/// tails and bit rot (this is an integrity check, not an adversarial MAC).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf29ce484222325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100000001b3))
-}
 
 /// Cumulative store statistics (all relaxed counters: they feed stderr summaries and
 /// tests, never results).
@@ -335,210 +329,21 @@ impl Store {
 // Record encoding.
 // ---------------------------------------------------------------------------
 //
-// Fixed-width little-endian fields throughout; floats as IEEE-754 bit patterns
-// (`to_bits`/`from_bits`), so encode → decode is the identity for every value
-// including negative zero and the RNG-noise extremes.  The encoding is versioned by
-// MAGIC, not self-describing: decode failures of any kind mean "quarantine and
-// recompute", which is always available because the simulator is the source of truth.
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-/// The counter fields of one [`CounterValues`], in record order.  Kept as an explicit
-/// list so adding a PMC is a compile-visible format change (bump MAGIC alongside).
-fn counter_fields(c: &CounterValues) -> [u64; 18] {
-    [
-        c.cycles,
-        c.instr_completed,
-        c.fxu_ops,
-        c.lsu_ops,
-        c.vsu_ops,
-        c.dfu_ops,
-        c.bru_ops,
-        c.loads,
-        c.stores,
-        c.prefetches,
-        c.l1_hits,
-        c.l2_hits,
-        c.l3_hits,
-        c.mem_accesses,
-        c.l3_accesses,
-        c.l3_misses,
-        c.bw_stalls,
-        0, // reserved (keeps the stride stable for one future counter)
-    ]
-}
-
-fn counters_from_fields(f: &[u64; 18]) -> CounterValues {
-    CounterValues {
-        cycles: f[0],
-        instr_completed: f[1],
-        fxu_ops: f[2],
-        lsu_ops: f[3],
-        vsu_ops: f[4],
-        dfu_ops: f[5],
-        bru_ops: f[6],
-        loads: f[7],
-        stores: f[8],
-        prefetches: f[9],
-        l1_hits: f[10],
-        l2_hits: f[11],
-        l3_hits: f[12],
-        mem_accesses: f[13],
-        l3_accesses: f[14],
-        l3_misses: f[15],
-        bw_stalls: f[16],
-    }
-}
-
-fn encode_payload(m: &Measurement) -> Vec<u8> {
-    let mut out =
-        Vec::with_capacity(64 + m.per_thread().len() * 18 * 8 + m.trace().samples().len() * 8);
-    put_u32(&mut out, m.config().cores);
-    put_u32(&mut out, m.config().smt.threads_per_core());
-    put_u64(&mut out, m.cycles());
-    put_u64(&mut out, m.per_thread().len() as u64);
-    for counters in m.per_thread() {
-        for field in counter_fields(counters) {
-            put_u64(&mut out, field);
-        }
-    }
-    put_f64(&mut out, m.average_power());
-    put_u64(&mut out, m.trace().cycles_per_sample());
-    put_u64(&mut out, m.trace().samples().len() as u64);
-    for &sample in m.trace().samples() {
-        put_f64(&mut out, sample);
-    }
-    let gt = m.ground_truth();
-    for component in [gt.idle, gt.uncore, gt.cmp, gt.smt, gt.dynamic_compute, gt.dynamic_memory] {
-        put_f64(&mut out, component);
-    }
-    out
-}
-
-/// A bounds-checked little-endian reader; every accessor returns `None` past the end,
-/// so decoding truncated bytes can only ever yield a clean "corrupt" verdict.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let slice = self.bytes.get(self.pos..self.pos.checked_add(n)?)?;
-        self.pos += n;
-        Some(slice)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|b| u32::from_le_bytes(b.try_into().expect("4-byte slice")))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|b| u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    fn u128(&mut self) -> Option<u128> {
-        self.take(16).map(|b| u128::from_le_bytes(b.try_into().expect("16-byte slice")))
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
-    }
-
-    fn exhausted(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-}
-
-fn decode_payload(bytes: &[u8]) -> Option<Measurement> {
-    let mut cur = Cursor { bytes, pos: 0 };
-    let cores = cur.u32()?;
-    let smt = SmtMode::from_threads(cur.u32()?)?;
-    if cores == 0 {
-        return None;
-    }
-    let config = CmpSmtConfig::new(cores, smt);
-    let cycles = cur.u64()?;
-    let thread_count = cur.u64()?;
-    // `Measurement::new` asserts this invariant; check it here so a corrupt count is a
-    // quarantine, not a panic.
-    if thread_count != u64::from(config.threads()) || thread_count > MAX_VEC_LEN {
-        return None;
-    }
-    let mut per_thread = Vec::with_capacity(thread_count as usize);
-    for _ in 0..thread_count {
-        let mut fields = [0u64; 18];
-        for field in &mut fields {
-            *field = cur.u64()?;
-        }
-        per_thread.push(counters_from_fields(&fields));
-    }
-    let avg_power = cur.f64()?;
-    let cycles_per_sample = cur.u64()?;
-    let sample_count = cur.u64()?;
-    if sample_count > MAX_VEC_LEN {
-        return None;
-    }
-    let mut samples = Vec::with_capacity(sample_count as usize);
-    for _ in 0..sample_count {
-        samples.push(cur.f64()?);
-    }
-    let ground_truth = EnergyBreakdown {
-        idle: cur.f64()?,
-        uncore: cur.f64()?,
-        cmp: cur.f64()?,
-        smt: cur.f64()?,
-        dynamic_compute: cur.f64()?,
-        dynamic_memory: cur.f64()?,
-    };
-    if !cur.exhausted() {
-        return None;
-    }
-    Some(Measurement::new(
-        config,
-        cycles,
-        per_thread,
-        avg_power,
-        PowerTrace::new(samples, cycles_per_sample),
-        ground_truth,
-    ))
-}
-
-/// Encodes a [`Measurement`] as the store's little-endian record payload.
-///
-/// Public for `mp_service`: the measurement-daemon wire protocol reuses the store's
-/// payload encoding verbatim, so a measurement crosses the network in exactly the
-/// bytes it persists as — one codec, one set of corruption checks.
-pub fn encode_measurement(measurement: &Measurement) -> Vec<u8> {
-    encode_payload(measurement)
-}
-
-/// Decodes an [`encode_measurement`] payload; `None` on truncation or corruption
-/// (never a panic, same contract as record loading).
-pub fn decode_measurement(bytes: &[u8]) -> Option<Measurement> {
-    decode_payload(bytes)
-}
+// The header is fixed-width little-endian; the payload is the codec's measurement
+// encoding.  The record is versioned by MAGIC, not self-describing: decode failures of
+// any kind mean "quarantine and recompute", which is always available because the
+// simulator is the source of truth.
 
 /// Serialises one record: header (magic, key, digest, payload length, checksum) then
 /// payload.
 fn encode_record(key: u128, digest: u128, measurement: &Measurement) -> Vec<u8> {
-    let payload = encode_payload(measurement);
+    let payload = encode_measurement(measurement);
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&key.to_le_bytes());
-    out.extend_from_slice(&digest.to_le_bytes());
+    put_u128(&mut out, key);
+    put_u128(&mut out, digest);
     put_u64(&mut out, payload.len() as u64);
-    put_u64(&mut out, fnv1a(&payload));
+    put_u64(&mut out, fnv1a64(&payload));
     out.extend_from_slice(&payload);
     out
 }
@@ -546,22 +351,21 @@ fn encode_record(key: u128, digest: u128, measurement: &Measurement) -> Vec<u8> 
 /// Validates and decodes one record.  `Err` carries the human-readable reason logged
 /// with the quarantine.
 fn decode_record(bytes: &[u8], key: u128, digest: u128) -> Result<Measurement, String> {
-    let mut cur = Cursor { bytes, pos: 0 };
-    match cur.take(MAGIC.len()) {
-        Some(magic) if magic == MAGIC => {}
-        Some(_) => return Err("bad magic / unknown format version".to_owned()),
-        None => return Err("truncated header".to_owned()),
+    let mut cur = Cursor::new(bytes);
+    let truncated = |_| "truncated header".to_owned();
+    if cur.take(MAGIC.len()).map_err(truncated)? != MAGIC {
+        return Err("bad magic / unknown format version".to_owned());
     }
-    let record_key = cur.u128().ok_or("truncated header")?;
+    let record_key = cur.u128().map_err(truncated)?;
     if record_key != key {
         return Err(format!("key mismatch (record claims {record_key:032x})"));
     }
-    let record_digest = cur.u128().ok_or("truncated header")?;
+    let record_digest = cur.u128().map_err(truncated)?;
     if record_digest != digest {
         return Err("stale record: backend spec digest mismatch".to_owned());
     }
-    let payload_len = cur.u64().ok_or("truncated header")?;
-    let checksum = cur.u64().ok_or("truncated header")?;
+    let payload_len = cur.u64().map_err(truncated)?;
+    let checksum = cur.u64().map_err(truncated)?;
     let payload = &bytes[HEADER_LEN..];
     if payload_len != payload.len() as u64 {
         return Err(format!(
@@ -569,15 +373,17 @@ fn decode_record(bytes: &[u8], key: u128, digest: u128) -> Result<Measurement, S
             payload.len()
         ));
     }
-    if fnv1a(payload) != checksum {
+    if fnv1a64(payload) != checksum {
         return Err("payload checksum mismatch".to_owned());
     }
-    decode_payload(payload).ok_or_else(|| "payload does not decode".to_owned())
+    decode_measurement(payload).ok_or_else(|| "payload does not decode".to_owned())
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use mp_sim::{EnergyBreakdown, PowerTrace};
+    use mp_uarch::{CmpSmtConfig, CounterValues, SmtMode};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A unique, self-cleaning temp directory (no tempfile crate in this workspace).

@@ -4,9 +4,10 @@
 //! that doubles as the format version (bump the trailing digit on any layout change —
 //! old peers then fail the magic check instead of misparsing), an explicit payload
 //! length, and an FNV-1a checksum over the payload so truncated or bit-rotted frames
-//! are *detected*, never interpreted.  Measurements cross the wire in the store's own
-//! payload encoding ([`mp_runtime::store::encode_measurement`]) — one codec end to
-//! end, whether a measurement is persisted or served remotely.
+//! are *detected*, never interpreted.  Payload bytes come from [`mp_runtime::codec`]:
+//! measurements cross the wire in the store's own payload encoding and kernels in the
+//! encoding the job keys hash — one codec end to end, whether a measurement is
+//! persisted or served remotely.
 //!
 //! Frame layout (all integers little-endian):
 //!
@@ -25,19 +26,24 @@
 //! connect-time digest handshake), `Shutdown`/`ShutdownAck`, and `ErrorReply` for any
 //! frame the daemon refuses (protocol errors never kill the daemon).
 //!
-//! Kernel instructions are encoded by raw [`OpcodeId`] index.  That is only meaningful
-//! between peers whose machine specs are byte-identical, which is exactly what the
-//! digest handshake enforces: [`spec_digest`](mp_uarch::MicroArchitecture) covers the
-//! ISA text, and identical ISA text implies identical opcode numbering.  The decoder
-//! still re-validates everything structurally (bounds-checked reads, ISA-checked
-//! operands via [`Instruction::new`]) so a corrupt or hostile frame yields a clean
+//! A job is `key, cores, smt, name`, then the codec's kernel content.  Kernel
+//! instructions are encoded by raw opcode index.  That is only meaningful between peers
+//! whose machine specs are byte-identical, which is exactly what the digest handshake
+//! enforces: [`spec_digest`](mp_uarch::MicroArchitecture) covers the ISA text, and
+//! identical ISA text implies identical opcode numbering.  The decoder still
+//! re-validates everything, so a corrupt or hostile frame yields a clean
 //! per-connection error.
 
 use std::io::{Read, Write};
 
 use microprobe::ir::MicroBenchmark;
-use mp_isa::{Instruction, Isa, MemAccess, Operand, RegRef, RegisterFile};
-use mp_sim::{DataProfile, Kernel, Measurement};
+use mp_isa::fnv::fnv1a64;
+use mp_isa::Isa;
+use mp_runtime::codec::{
+    decode_kernel, decode_measurement, encode_kernel, encode_measurement, put_bytes, put_u128,
+    put_u32, put_u64, put_u8, Cursor,
+};
+use mp_sim::Measurement;
 use mp_uarch::{CmpSmtConfig, SmtMode};
 
 /// Frame magic: file-format identity and version in one.
@@ -53,10 +59,8 @@ pub const MAX_FRAME_LEN: u64 = 1 << 28;
 /// Hard cap on jobs per `SubmitBatch` frame; clients chunk larger submissions.
 pub const MAX_JOBS_PER_FRAME: usize = 1024;
 
-/// Caps on decoded vector lengths inside a batch (same spirit as the store's
-/// `MAX_VEC_LEN`: bound what corruption can ask for).
+/// Caps on decoded lengths inside a batch: bound what corruption can ask for.
 const MAX_NAME_LEN: usize = 1 << 12;
-const MAX_KERNEL_LEN: u32 = 1 << 20;
 const MAX_CORES: u32 = 1 << 12;
 
 /// Message types.
@@ -94,13 +98,6 @@ impl MessageType {
     }
 }
 
-/// FNV-1a over the payload bytes — cheap, dependency-free, and plenty to detect torn
-/// tails and bit rot (an integrity check, not an adversarial MAC); same function and
-/// constants as the store's record checksum.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf29ce484222325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100000001b3))
-}
-
 /// Why a frame could not be read.
 #[derive(Debug)]
 pub enum FrameError {
@@ -136,7 +133,7 @@ pub fn write_frame(
     header[6] = message as u8;
     header[7] = 0;
     header[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    header[16..24].copy_from_slice(&fnv1a(payload).to_le_bytes());
+    header[16..24].copy_from_slice(&fnv1a64(payload).to_le_bytes());
     writer.write_all(&header)?;
     writer.write_all(payload)?;
     writer.flush()
@@ -177,107 +174,10 @@ pub fn read_frame(reader: &mut impl Read) -> Result<(MessageType, Vec<u8>), Fram
     let checksum = u64::from_le_bytes(header[16..24].try_into().expect("8-byte slice"));
     let mut payload = vec![0u8; len as usize];
     reader.read_exact(&mut payload).map_err(FrameError::Io)?;
-    if fnv1a(&payload) != checksum {
+    if fnv1a64(&payload) != checksum {
         return Err(FrameError::Corrupt("payload checksum mismatch".to_owned()));
     }
     Ok((message, payload))
-}
-
-// ---------------------------------------------------------------------------
-// Little-endian payload primitives (the store's record conventions).
-// ---------------------------------------------------------------------------
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u128(out: &mut Vec<u8>, v: u128) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(out, bytes.len() as u32);
-    out.extend_from_slice(bytes);
-}
-
-/// A bounds-checked little-endian reader; every accessor fails cleanly past the end,
-/// so decoding truncated bytes can only ever yield a "corrupt" verdict, not a panic.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).ok_or("length overflow")?;
-        let slice = self.bytes.get(self.pos..end).ok_or("truncated payload")?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2-byte slice")))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4-byte slice")))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8-byte slice")))
-    }
-
-    fn u128(&mut self) -> Result<u128, String> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().expect("16-byte slice")))
-    }
-
-    fn i64(&mut self) -> Result<i64, String> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8-byte slice")))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        self.u64().map(f64::from_bits)
-    }
-
-    fn bytes(&mut self, cap: usize) -> Result<&'a [u8], String> {
-        let len = self.u32()? as usize;
-        if len > cap {
-            return Err(format!("length {len} exceeds cap {cap}"));
-        }
-        self.take(len)
-    }
-
-    fn finish(&self) -> Result<(), String> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(format!("{} trailing bytes", self.bytes.len() - self.pos))
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -295,123 +195,13 @@ pub struct WireJob {
     pub config: CmpSmtConfig,
 }
 
-fn file_to_u8(file: RegisterFile) -> u8 {
-    match file {
-        RegisterFile::Gpr => 0,
-        RegisterFile::Fpr => 1,
-        RegisterFile::Vsr => 2,
-        RegisterFile::Vr => 3,
-        RegisterFile::Cr => 4,
-        RegisterFile::Xer => 5,
-        RegisterFile::Lr => 6,
-        RegisterFile::Ctr => 7,
-        RegisterFile::Fpscr => 8,
-        RegisterFile::Spr => 9,
-    }
-}
-
-fn file_from_u8(value: u8) -> Result<RegisterFile, String> {
-    Ok(match value {
-        0 => RegisterFile::Gpr,
-        1 => RegisterFile::Fpr,
-        2 => RegisterFile::Vsr,
-        3 => RegisterFile::Vr,
-        4 => RegisterFile::Cr,
-        5 => RegisterFile::Xer,
-        6 => RegisterFile::Lr,
-        7 => RegisterFile::Ctr,
-        8 => RegisterFile::Fpscr,
-        9 => RegisterFile::Spr,
-        _ => return Err(format!("unknown register file {value}")),
-    })
-}
-
-fn profile_to_u8(profile: DataProfile) -> u8 {
-    match profile {
-        DataProfile::Random => 0,
-        DataProfile::Constant => 1,
-        DataProfile::Zeros => 2,
-    }
-}
-
-fn profile_from_u8(value: u8) -> Result<DataProfile, String> {
-    Ok(match value {
-        0 => DataProfile::Random,
-        1 => DataProfile::Constant,
-        2 => DataProfile::Zeros,
-        _ => return Err(format!("unknown data profile {value}")),
-    })
-}
-
-fn encode_operand(out: &mut Vec<u8>, operand: &Operand) {
-    match operand {
-        Operand::Reg(reg) => {
-            put_u8(out, 0);
-            put_u8(out, file_to_u8(reg.file));
-            put_u16(out, reg.index);
-        }
-        Operand::Imm(v) => {
-            put_u8(out, 1);
-            put_i64(out, *v);
-        }
-        Operand::Displacement(v) => {
-            put_u8(out, 2);
-            put_i64(out, *v);
-        }
-        Operand::BranchTarget(v) => {
-            put_u8(out, 3);
-            put_i64(out, *v);
-        }
-        Operand::CrField(v) => {
-            put_u8(out, 4);
-            put_u8(out, *v);
-        }
-    }
-}
-
-fn decode_operand(cur: &mut Cursor<'_>) -> Result<Operand, String> {
-    Ok(match cur.u8()? {
-        0 => {
-            let file = file_from_u8(cur.u8()?)?;
-            let index = cur.u16()?;
-            if index >= file.count() {
-                return Err(format!("register index {index} out of range for {file:?}"));
-            }
-            Operand::Reg(RegRef { file, index })
-        }
-        1 => Operand::Imm(cur.i64()?),
-        2 => Operand::Displacement(cur.i64()?),
-        3 => Operand::BranchTarget(cur.i64()?),
-        4 => Operand::CrField(cur.u8()?),
-        tag => return Err(format!("unknown operand tag {tag}")),
-    })
-}
-
 fn encode_job(out: &mut Vec<u8>, key: u128, benchmark: &MicroBenchmark, config: CmpSmtConfig) {
     let kernel = benchmark.kernel();
     put_u128(out, key);
     put_u32(out, config.cores);
     put_u32(out, config.smt.threads_per_core());
     put_bytes(out, kernel.name().as_bytes());
-    put_u8(out, profile_to_u8(kernel.data_profile()));
-    put_u64(out, kernel.mispredict_rate().to_bits());
-    put_u32(out, kernel.len() as u32);
-    for instruction in kernel.body() {
-        put_u32(out, instruction.opcode().index() as u32);
-        match instruction.mem() {
-            Some(mem) => {
-                put_u8(out, 1);
-                put_u64(out, mem.address);
-                put_u8(out, mem.bytes);
-                put_u8(out, u8::from(mem.is_store));
-            }
-            None => put_u8(out, 0),
-        }
-        put_u8(out, instruction.operands().len() as u8);
-        for operand in instruction.operands() {
-            encode_operand(out, operand);
-        }
-    }
+    encode_kernel(out, kernel);
 }
 
 fn decode_job(cur: &mut Cursor<'_>, isa: &Isa) -> Result<WireJob, String> {
@@ -424,43 +214,7 @@ fn decode_job(cur: &mut Cursor<'_>, isa: &Isa) -> Result<WireJob, String> {
     let config = CmpSmtConfig::new(cores, smt);
     let name = String::from_utf8(cur.bytes(MAX_NAME_LEN)?.to_vec())
         .map_err(|_| "kernel name is not UTF-8".to_owned())?;
-    let profile = profile_from_u8(cur.u8()?)?;
-    let mispredict = cur.f64()?;
-    if !(0.0..=1.0).contains(&mispredict) {
-        return Err(format!("misprediction rate {mispredict} out of [0,1]"));
-    }
-    let count = cur.u32()?;
-    if count == 0 || count > MAX_KERNEL_LEN {
-        return Err(format!("kernel length {count} out of range"));
-    }
-    let mut body = Vec::with_capacity(count as usize);
-    for slot in 0..count {
-        let opcode_index = cur.u32()? as usize;
-        // The ISA owns opcode numbering; the digest handshake guarantees both peers
-        // number identically, and this bound check keeps a corrupt index a clean
-        // error rather than a panic.
-        let (opcode, _) = isa
-            .entries()
-            .nth(opcode_index)
-            .ok_or_else(|| format!("slot {slot}: opcode index {opcode_index} out of range"))?;
-        let mem = match cur.u8()? {
-            0 => None,
-            1 => {
-                Some(MemAccess { address: cur.u64()?, bytes: cur.u8()?, is_store: cur.u8()? != 0 })
-            }
-            flag => return Err(format!("slot {slot}: bad memory flag {flag}")),
-        };
-        let operand_count = cur.u8()?;
-        let mut operands = Vec::with_capacity(usize::from(operand_count));
-        for _ in 0..operand_count {
-            operands.push(decode_operand(cur)?);
-        }
-        let instruction = Instruction::new(isa, opcode, operands, mem)
-            .map_err(|error| format!("slot {slot}: {error}"))?;
-        body.push(instruction);
-    }
-    let kernel =
-        Kernel::new(name, body).with_data_profile(profile).with_mispredict_rate(mispredict);
+    let kernel = decode_kernel(cur, isa, name)?;
     Ok(WireJob { key, benchmark: MicroBenchmark::from_kernel(kernel), config })
 }
 
@@ -521,7 +275,7 @@ pub fn encode_results(results: &[WireResult]) -> Vec<u8> {
         match &result.outcome {
             Ok(measurement) => {
                 put_u8(&mut out, 0);
-                put_bytes(&mut out, &mp_runtime::store::encode_measurement(measurement));
+                put_bytes(&mut out, &encode_measurement(measurement));
             }
             Err(message) => {
                 put_u8(&mut out, 1);
@@ -545,8 +299,7 @@ pub fn decode_results(payload: &[u8]) -> Result<Vec<WireResult>, String> {
         let outcome = match cur.u8()? {
             0 => {
                 let bytes = cur.bytes(MAX_FRAME_LEN as usize)?;
-                Ok(mp_runtime::store::decode_measurement(bytes)
-                    .ok_or("undecodable measurement payload")?)
+                Ok(decode_measurement(bytes).ok_or("undecodable measurement payload")?)
             }
             1 => Err(String::from_utf8_lossy(cur.bytes(MAX_NAME_LEN)?).into_owned()),
             tag => return Err(format!("bad result status {tag}")),

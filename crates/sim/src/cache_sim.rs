@@ -18,12 +18,22 @@ pub struct AccessOutcome {
     pub bw_stall: u32,
 }
 
+/// The `start` of a set that has never been filled.
+const UNFILLED: u32 = u32::MAX;
+
 /// One set-associative cache level with true-LRU replacement.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     geometry: CacheGeometry,
-    /// `sets[set]` holds `(tag, last_use_stamp)` pairs, at most `ways` of them.
-    sets: Vec<Vec<(u64, u64)>>,
+    /// `(tag, last_use_stamp)` pairs: `ways` slots for each set, allocated on the set's
+    /// first fill.  A run touches few of an L3's thousands of sets, so per-set storage
+    /// for every set would dominate a simulation's memory.
+    lines: Vec<(u64, u64)>,
+    /// Per set: its first slot in `lines` ([`UNFILLED`] before its first fill) and its
+    /// number of resident lines.
+    start: Vec<u32>,
+    len: Vec<u8>,
+    ways: usize,
     stamp: u64,
     // Set/tag extraction pre-resolved from the geometry: `set_of`/`tag_of` divide by
     // `num_sets()` on every call, which is measurable at one demand access per issue.
@@ -35,9 +45,12 @@ pub struct SetAssocCache {
 impl SetAssocCache {
     /// Creates an empty cache with the given geometry.
     pub fn new(geometry: CacheGeometry) -> Self {
-        let sets = vec![Vec::with_capacity(geometry.ways as usize); geometry.num_sets() as usize];
+        let sets = geometry.num_sets() as usize;
         Self {
-            sets,
+            lines: Vec::new(),
+            start: vec![UNFILLED; sets],
+            len: vec![0; sets],
+            ways: usize::from(u8::try_from(geometry.ways).expect("at most 255 ways per set")),
             stamp: 0,
             offset_bits: geometry.offset_bits(),
             set_mask: geometry.num_sets() - 1,
@@ -55,11 +68,20 @@ impl SetAssocCache {
         (((address >> self.offset_bits) & self.set_mask) as usize, address >> self.tag_shift)
     }
 
+    /// The slots of `set`'s resident lines in `lines`.
+    fn resident(&self, set: usize) -> std::ops::Range<usize> {
+        match self.len[set] {
+            0 => 0..0,
+            len => self.start[set] as usize..self.start[set] as usize + usize::from(len),
+        }
+    }
+
     /// Looks up an address; on hit the LRU stamp is refreshed.  Returns `true` on hit.
     pub fn access(&mut self, address: u64) -> bool {
         self.stamp += 1;
         let (set, tag) = self.set_and_tag(address);
-        if let Some(entry) = self.sets[set].iter_mut().find(|(t, _)| *t == tag) {
+        let range = self.resident(set);
+        if let Some(entry) = self.lines[range].iter_mut().find(|(t, _)| *t == tag) {
             entry.1 = self.stamp;
             return true;
         }
@@ -70,39 +92,47 @@ impl SetAssocCache {
     pub fn fill(&mut self, address: u64) {
         self.stamp += 1;
         let (set, tag) = self.set_and_tag(address);
-        let lines = &mut self.sets[set];
-        if let Some(entry) = lines.iter_mut().find(|(t, _)| *t == tag) {
+        let range = self.resident(set);
+        if let Some(entry) = self.lines[range.clone()].iter_mut().find(|(t, _)| *t == tag) {
             entry.1 = self.stamp;
             return;
         }
-        if lines.len() >= self.geometry.ways as usize {
+        if self.start[set] == UNFILLED {
+            self.start[set] = u32::try_from(self.lines.len()).expect("cache slots fit u32");
+            self.lines.resize(self.lines.len() + self.ways, (0, 0));
+        }
+        let start = self.start[set] as usize;
+        let lines = &mut self.lines[start..start + self.ways];
+        if range.len() >= self.ways {
             let lru = lines
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, (_, stamp))| *stamp)
                 .map(|(i, _)| i)
                 .expect("set is non-empty when full");
-            lines.swap_remove(lru);
+            // `swap_remove(lru)` then `push`: the last line moves into the evicted slot.
+            lines[lru] = lines[self.ways - 1];
+            lines[self.ways - 1] = (tag, self.stamp);
+        } else {
+            lines[range.len()] = (tag, self.stamp);
+            self.len[set] += 1;
         }
-        lines.push((tag, self.stamp));
     }
 
     /// Returns `true` if the line containing `address` is currently resident.
     pub fn contains(&self, address: u64) -> bool {
         let (set, tag) = self.set_and_tag(address);
-        self.sets[set].iter().any(|(t, _)| *t == tag)
+        self.lines[self.resident(set)].iter().any(|(t, _)| *t == tag)
     }
 
     /// Number of resident lines (for tests and occupancy statistics).
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.len.iter().map(|&len| usize::from(len)).sum()
     }
 
     /// Empties the cache.
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.len.fill(0);
         self.stamp = 0;
     }
 }

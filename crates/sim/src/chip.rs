@@ -1,6 +1,6 @@
 //! The chip-level simulator: cores + uncore + power sensor sampling.
 
-use std::collections::HashMap;
+use std::rc::Rc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -149,7 +149,7 @@ impl ChipSim {
     pub fn run(&self, kernel: &Kernel, config: CmpSmtConfig) -> Measurement {
         let body = {
             let _span = mp_telemetry::span("sim.decode");
-            DecodedBody::decode(kernel, &self.uarch, &self.props)
+            Rc::new(DecodedBody::decode(kernel, &self.uarch, &self.props))
         };
         self.run_bodies(vec![body; config.threads() as usize], config)
     }
@@ -162,31 +162,23 @@ impl ChipSim {
     /// configuration exceeds the chip's core count.
     pub fn run_heterogeneous(&self, kernels: &[Kernel], config: CmpSmtConfig) -> Measurement {
         // Decode each *distinct* kernel once; repeated kernels reuse the decoded body.
-        // Kernels are bucketed by content hash so a 32-thread deployment does O(n)
-        // hash lookups instead of O(n²) deep `Kernel` comparisons; equality inside a
-        // bucket guards against hash collisions.
+        // A deployment has at most `config.threads()` kernels, so a linear equality
+        // scan is all the lookup it needs.
         let decode_span = mp_telemetry::span("sim.decode");
-        let mut seen: Vec<(&Kernel, DecodedBody)> = Vec::new();
-        let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
-        let bodies: Vec<DecodedBody> = kernels
-            .iter()
-            .map(|kernel| {
-                let bucket = by_hash.entry(kernel.content_hash()).or_default();
-                if let Some(&i) = bucket.iter().find(|&&i| seen[i].0 == kernel) {
-                    return seen[i].1.clone();
-                }
-                let body = DecodedBody::decode(kernel, &self.uarch, &self.props);
-                bucket.push(seen.len());
-                seen.push((kernel, body.clone()));
-                body
-            })
-            .collect();
+        let mut bodies: Vec<Rc<DecodedBody>> = Vec::with_capacity(kernels.len());
+        for (i, kernel) in kernels.iter().enumerate() {
+            let body = match kernels[..i].iter().position(|earlier| earlier == kernel) {
+                Some(first) => Rc::clone(&bodies[first]),
+                None => Rc::new(DecodedBody::decode(kernel, &self.uarch, &self.props)),
+            };
+            bodies.push(body);
+        }
         drop(decode_span);
         self.run_bodies(bodies, config)
     }
 
     /// Runs one pre-decoded kernel body per hardware thread context.
-    fn run_bodies(&self, bodies: Vec<DecodedBody>, config: CmpSmtConfig) -> Measurement {
+    fn run_bodies(&self, bodies: Vec<Rc<DecodedBody>>, config: CmpSmtConfig) -> Measurement {
         self.options.validate();
         assert!(
             config.cores <= self.uarch.max_cores,

@@ -5,6 +5,7 @@
 //! and one scoreboard update — no allocation, no hashing, no re-encoding.
 
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -41,7 +42,7 @@ struct Pipe {
 #[derive(Debug)]
 struct ThreadContext {
     /// The thread's kernel, compiled to the dense hot-loop representation.
-    body: DecodedBody,
+    body: Rc<DecodedBody>,
     window: VecDeque<WindowEntry>,
     next_fetch: usize,
     /// Ready time of every register, indexed by the kernel's dense register id.
@@ -52,7 +53,7 @@ struct ThreadContext {
 }
 
 impl ThreadContext {
-    fn new(body: DecodedBody, seed: u64) -> Self {
+    fn new(body: Rc<DecodedBody>, seed: u64) -> Self {
         let reg_ready = vec![0; body.dense_regs()];
         Self {
             body,
@@ -147,11 +148,11 @@ const UNIT_SLOTS: [Unit; 5] = [Unit::Fxu, Unit::Lsu, Unit::Vsu, Unit::Dfu, Unit:
 impl CoreSim {
     /// Creates a core running one pre-decoded kernel body per hardware thread.  The
     /// caller decodes each distinct kernel once (see `ChipSim::run_heterogeneous`) and
-    /// clones the bodies across threads; the per-cycle loop never sees an
+    /// shares the bodies across threads; the per-cycle loop never sees an
     /// `Instruction` again.
     pub(crate) fn new(
         uarch: &MicroArchitecture,
-        bodies: Vec<DecodedBody>,
+        bodies: Vec<Rc<DecodedBody>>,
         prefetch_enabled: bool,
         seed: u64,
         uncore_mode: UncoreMode,
@@ -450,9 +451,9 @@ mod tests {
         .unwrap()
     }
 
-    fn decode_all(uarch: &MicroArchitecture, kernels: &[Kernel]) -> Vec<DecodedBody> {
+    fn decode_all(uarch: &MicroArchitecture, kernels: &[Kernel]) -> Vec<Rc<DecodedBody>> {
         let props = uarch.opcode_props();
-        kernels.iter().map(|k| DecodedBody::decode(k, uarch, &props)).collect()
+        kernels.iter().map(|k| Rc::new(DecodedBody::decode(k, uarch, &props))).collect()
     }
 
     fn run_core(

@@ -105,48 +105,6 @@ impl Kernel {
     pub fn mispredict_rate(&self) -> f64 {
         self.mispredict_rate
     }
-
-    /// A 64-bit hash of the kernel's *content* — loop body, data profile and
-    /// misprediction rate, excluding the name — so deployments with many hardware
-    /// thread contexts can bucket repeated kernels without deep comparisons.
-    ///
-    /// Two kernels that simulate identically hash identically; collisions are possible
-    /// and callers must confirm with an equality check.
-    pub fn content_hash(&self) -> u64 {
-        self.content_hash_with(0)
-    }
-
-    /// [`content_hash`](Self::content_hash) scoped to a backend: mixes the machine
-    /// spec digest (`MicroArchitecture::spec_digest`) into the fingerprint, so the
-    /// same kernel content simulated on two different backends hashes differently.
-    ///
-    /// A digest of 0 (the hand-coded / non-spec-loaded marker) reproduces the plain
-    /// backend-blind `content_hash`.
-    pub fn content_hash_with(&self, backend_digest: u128) -> u64 {
-        use std::fmt::Write as _;
-        use std::hash::{Hash, Hasher};
-
-        /// Streams formatted output into a hasher without materialising a string
-        /// (bodies reach thousands of instructions).
-        struct HashWriter(std::collections::hash_map::DefaultHasher);
-
-        impl std::fmt::Write for HashWriter {
-            fn write_str(&mut self, s: &str) -> std::fmt::Result {
-                s.hash(&mut self.0);
-                Ok(())
-            }
-        }
-
-        let mut writer = HashWriter(std::collections::hash_map::DefaultHasher::new());
-        if backend_digest != 0 {
-            backend_digest.hash(&mut writer.0);
-        }
-        // The body has no stable binary serialisation; its `Debug` form is a faithful
-        // content encoding (every operand, memory access and attribute).
-        write!(writer, "{:?}|{:?}|{}", self.body, self.data, self.mispredict_rate.to_bits())
-            .expect("hashing formatter never fails");
-        writer.0.finish()
-    }
 }
 
 #[cfg(test)]
@@ -198,31 +156,5 @@ mod tests {
     #[should_panic(expected = "must be in [0,1]")]
     fn invalid_mispredict_rate_is_rejected() {
         let _ = Kernel::new("k", vec![add_inst()]).with_mispredict_rate(1.5);
-    }
-
-    #[test]
-    fn content_hash_ignores_the_name_but_not_the_content() {
-        let a = Kernel::new("a", vec![add_inst()]);
-        let renamed = Kernel::new("b", vec![add_inst()]);
-        assert_eq!(a.content_hash(), renamed.content_hash());
-        let zeros = Kernel::new("a", vec![add_inst()]).with_data_profile(DataProfile::Zeros);
-        assert_ne!(a.content_hash(), zeros.content_hash());
-        let longer = Kernel::new("a", vec![add_inst(), add_inst()]);
-        assert_ne!(a.content_hash(), longer.content_hash());
-        let noisy = Kernel::new("a", vec![add_inst()]).with_mispredict_rate(0.25);
-        assert_ne!(a.content_hash(), noisy.content_hash());
-    }
-
-    #[test]
-    fn content_hash_is_scoped_to_the_backend_digest() {
-        let a = Kernel::new("a", vec![add_inst()]);
-        assert_eq!(a.content_hash_with(0), a.content_hash(), "digest 0 is the plain hash");
-        assert_ne!(a.content_hash_with(1), a.content_hash_with(2), "backends do not collide");
-        let renamed = Kernel::new("b", vec![add_inst()]);
-        assert_eq!(
-            a.content_hash_with(7),
-            renamed.content_hash_with(7),
-            "the name stays excluded under a backend digest"
-        );
     }
 }

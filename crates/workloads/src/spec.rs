@@ -12,6 +12,7 @@
 //! *diverse, realistic validation population*, which these profiles deliver.
 
 use microprobe::prelude::*;
+use mp_isa::fnv::fnv1a64;
 use mp_isa::{IssueClass, OpcodeId};
 use mp_uarch::MicroArchitecture;
 
@@ -75,7 +76,7 @@ impl SpecProxy {
         spread(&memories, self.memory_weight, &mut weighted);
 
         let mut synth = Synthesizer::new(arch.clone())
-            .with_seed(0x5bec ^ hash_name(self.name))
+            .with_seed(0x5bec ^ fnv1a64(self.name.as_bytes()))
             .with_name_prefix(self.name);
         synth.add_pass(SkeletonPass::endless_loop(loop_instructions));
         synth.add_pass(InstructionMixPass::weighted(weighted));
@@ -88,11 +89,6 @@ impl SpecProxy {
         ));
         synth.synthesize()
     }
-}
-
-fn hash_name(name: &str) -> u64 {
-    name.bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
 /// The 28 SPEC CPU2006 proxies, in the order the paper plots them.

@@ -11,33 +11,11 @@
 //! If a change *intends* to alter simulator results, regenerate the table by running
 //! the test and copying the printed `actual` values — and say so in the PR.
 
+use mp_isa::fnv::fnv1a64;
+use mp_runtime::codec::{put_f64, put_u64};
 use mp_sim::fixtures::{reference_kernels, uncore_contention_pair};
 use mp_sim::{ChipSim, Kernel, Measurement, SimOptions, UncoreMode};
 use mp_uarch::{power7, CmpSmtConfig, CounterId, SmtMode};
-
-/// FNV-1a 64-bit over a byte stream, driven field-by-field below.
-struct Fingerprint(u64);
-
-impl Fingerprint {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-}
 
 /// The counter set of the pre-shared-uncore simulator, in its original order.  The
 /// private-mode golden hashes below were recorded over exactly these counters; the
@@ -63,25 +41,25 @@ const LEGACY_COUNTERS: [CounterId; 14] = [
 /// Hashes every observable field of a measurement over the given counter set, in a
 /// stable order.
 fn fingerprint_with(m: &Measurement, counters: &[CounterId]) -> u64 {
-    let mut h = Fingerprint::new();
-    h.u64(u64::from(m.config().cores));
-    h.u64(u64::from(m.config().smt.threads_per_core()));
-    h.u64(m.cycles());
+    let mut bytes = Vec::new();
+    put_u64(&mut bytes, u64::from(m.config().cores));
+    put_u64(&mut bytes, u64::from(m.config().smt.threads_per_core()));
+    put_u64(&mut bytes, m.cycles());
     for c in m.per_thread() {
         for &id in counters {
-            h.u64(c.get(id));
+            put_u64(&mut bytes, c.get(id));
         }
     }
-    h.f64(m.average_power());
-    h.u64(m.trace().cycles_per_sample());
+    put_f64(&mut bytes, m.average_power());
+    put_u64(&mut bytes, m.trace().cycles_per_sample());
     for &s in m.trace().samples() {
-        h.f64(s);
+        put_f64(&mut bytes, s);
     }
     let gt = m.ground_truth();
     for v in [gt.idle, gt.uncore, gt.cmp, gt.smt, gt.dynamic_compute, gt.dynamic_memory] {
-        h.f64(v);
+        put_f64(&mut bytes, v);
     }
-    h.0
+    fnv1a64(&bytes)
 }
 
 /// Options pinned forever — the golden hashes depend on every field.
