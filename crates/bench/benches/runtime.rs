@@ -1,6 +1,6 @@
 //! Benches for the `mp_runtime` subsystem: cost-aware `par_map` against its serial
-//! baseline at every worker count (the CI perf gate's primary targets), the warm
-//! persistent-pool dispatch cost, and the memoized replay path of a session.
+//! baseline at every worker count (the CI perf gate's primary targets), the fixed cost
+//! of spawning `par_map`'s scoped workers, and the memoized replay path of a session.
 //!
 //! Every `<group>/serial` entry is the plain `iter().map().collect()` loop; the
 //! numeric entries run the same workload through the cost-aware executor at that
@@ -11,13 +11,11 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use microprobe::platform::SimPlatform;
 use microprobe::prelude::*;
 use mp_power::SampleKind;
-use mp_runtime::{
-    par_map_with_workers_and_cost, scope_with_workers, CostHint, ExperimentPlan, ExperimentSession,
-};
+use mp_runtime::{par_map, CostHint, ExperimentPlan, ExperimentSession};
 use mp_uarch::{CmpSmtConfig, SmtMode};
 
 /// ~55 ns of integer mixing per item (64 rounds): small enough that parallel dispatch
-/// can only lose — the scheduler must take the inline fallback.
+/// can only lose — the scheduler must run the batch inline.
 fn mix64(x: &u64) -> u64 {
     let mut v = *x;
     for _ in 0..64 {
@@ -27,7 +25,7 @@ fn mix64(x: &u64) -> u64 {
 }
 
 /// ~2 µs of integer mixing per item (2048 rounds): a batch of these clears the
-/// inline threshold, so this exercises the real chunked pool dispatch.
+/// inline threshold, so this exercises real parallel dispatch.
 fn mix2k(x: &u64) -> u64 {
     let mut v = *x;
     for _ in 0..2048 {
@@ -41,52 +39,43 @@ fn bench_par_map(c: &mut Criterion) {
     group.sample_size(10);
 
     // Tiny jobs: 512 × ~55 ns ≈ 28 µs of total work.  The honest per-item hint makes
-    // the scheduler run these inline at every worker count (pool dispatch alone would
-    // cost more than the whole batch).
+    // the scheduler run these inline at every worker count (spawning workers alone
+    // would cost more than the whole batch).
     let items: Vec<u64> = (0..512).collect();
     group.bench_function(BenchmarkId::new("mix64", "serial"), |b| {
         b.iter(|| black_box(items.iter().map(mix64).collect::<Vec<u64>>()))
     });
     for workers in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("mix64", workers), &workers, |b, &w| {
-            b.iter(|| par_map_with_workers_and_cost(w, CostHint::per_item_ns(55), &items, mix64))
+            b.iter(|| par_map(w, CostHint::per_item_ns(55), &items, mix64))
         });
     }
 
     // Heavy jobs: 1024 × ~2 µs ≈ 2 ms of total work.  This clears the inline
-    // threshold, so the numeric entries measure genuine chunked dispatch on the
-    // persistent pool (~125 µs of work per chunk).
+    // threshold, so the numeric entries measure genuine parallel dispatch on at most
+    // the host's parallelism of scoped workers.
     let heavy_items: Vec<u64> = (0..1024).collect();
     group.bench_function(BenchmarkId::new("mix2k", "serial"), |b| {
         b.iter(|| black_box(heavy_items.iter().map(mix2k).collect::<Vec<u64>>()))
     });
     for workers in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("mix2k", workers), &workers, |b, &w| {
-            b.iter(|| {
-                par_map_with_workers_and_cost(w, CostHint::per_item_ns(2_000), &heavy_items, mix2k)
-            })
+            b.iter(|| par_map(w, CostHint::per_item_ns(2_000), &heavy_items, mix2k))
         });
     }
     group.finish();
 }
 
-/// The warm pool-dispatch round trip: lease workers from the persistent pool, run one
-/// empty job each, shut the scope down.  This is the fixed cost the inline threshold
-/// is calibrated against (per-call `thread::spawn` used to put it at ~100 µs/worker).
+/// The parallel dispatch round trip: spawn `w` scoped workers, run one empty job
+/// each, join them.  This is the fixed cost the inline threshold is calibrated
+/// against.
 fn bench_pool_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("runtime/pool");
     group.sample_size(10);
-    // Warm the pool so the bench measures reuse, not the one-time spawns.
-    scope_with_workers(8, |sc| sc.spawn(|| {}));
     for workers in [2usize, 8] {
+        let items = vec![(); workers];
         group.bench_with_input(BenchmarkId::new("dispatch", workers), &workers, |b, &w| {
-            b.iter(|| {
-                scope_with_workers(w, |sc| {
-                    for _ in 0..w {
-                        sc.spawn(|| {});
-                    }
-                })
-            })
+            b.iter(|| par_map(w, CostHint::Unknown, &items, |_| ()))
         });
     }
     group.finish();
@@ -133,7 +122,7 @@ fn bench_cache_contention(c: &mut Criterion) {
     // sample count keeps the medians robust against sub-second ambient-noise bursts
     // (which would otherwise swallow a whole entry on a small CI host).
     //
-    // Every variant — including 1 — goes through the same worker-scope path, and the
+    // Every variant — including 1 — goes through the same thread-scope path, and the
     // baseline is deliberately named `1`, not `serial`: bench_gate only pairs numeric
     // variants with a `serial` sibling, and this group is a contention *instrument*
     // (compare across snapshots, e.g. pre/post sharding), not a scheduling invariant.
@@ -143,11 +132,11 @@ fn bench_cache_contention(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("hot_hits", threads), &threads, |b, &n| {
             b.iter(|| {
-                scope_with_workers(n, |sc| {
+                std::thread::scope(|scope| {
                     for t in 0..n {
                         let session = &session;
                         let bench = &benches[t % benches.len()];
-                        sc.spawn(move || {
+                        scope.spawn(move || {
                             for _ in 0..TOTAL_LOOKUPS / n {
                                 black_box(session.measure(bench, config));
                             }

@@ -40,7 +40,7 @@ fn main() {
         .unwrap_or_else(|| panic!("unknown backend `{backend}`; see mp_uarch::backend_names"));
     let sim = ChipSim::new(uarch).with_options(scale.sim_options());
     // ExperimentSession::new reads MP_THREADS and MP_STORE_DIR from the environment:
-    // the daemon is where both the worker pool and the persistent store live.
+    // the daemon is where both the workers and the persistent store live.
     let session = ExperimentSession::new(SimPlatform::new(sim));
 
     let daemon = MeasurementDaemon::bind(session, &*addr)

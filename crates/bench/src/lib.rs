@@ -3,13 +3,16 @@
 //! The [`runner`] module turns benchmark populations into measured
 //! [`WorkloadSample`](mp_power::WorkloadSample)s by translating them into
 //! `mp_runtime` [`ExperimentPlan`](mp_runtime::ExperimentPlan)s (measured in parallel
-//! on the work-stealing executor, memoized per session), and the [`experiments`]
+//! by the `mp_runtime` executor, memoized per session), and the [`experiments`]
 //! module implements one function per table/figure of the paper's evaluation.  The
 //! binaries in `src/bin` and the `experiments` bench target print the regenerated
 //! rows/series; see `EXPERIMENTS.md` at the repository root for the recorded outputs
-//! and the `MP_THREADS` / session-memoization semantics.
+//! and the `MP_THREADS` / session-memoization semantics.  The [`json`] module is the
+//! workspace's one JSON reader, shared by the `bench_gate` binary and the telemetry
+//! export tests.
 
 pub mod experiments;
+pub mod json;
 pub mod report;
 pub mod runner;
 pub mod table3;

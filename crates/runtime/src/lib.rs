@@ -5,12 +5,10 @@
 //! models.  This crate supplies the two layers every measurement path in the workspace
 //! runs through:
 //!
-//! 1. [`executor`] — a std-only, cost-aware work-stealing thread pool (one persistent
-//!    per-process pool of lazily-spawned workers, per-worker deques plus stealing)
-//!    exposing [`scope`]/[`par_map`] with deterministic result ordering, worker-count
-//!    control via the `MP_THREADS` environment variable, panic propagation, and a
-//!    [`CostHint`]-driven inline-serial fallback plus adaptive chunking so parallel
-//!    dispatch never loses to the serial loop;
+//! 1. [`executor`] — one std-only [`par_map`]: scoped worker threads claim items from
+//!    one atomic cursor, results land by input index, the worker count follows the
+//!    `MP_THREADS` environment variable, job panics propagate to the caller, and a
+//!    [`CostHint`] keeps batches too cheap to pay for spawning workers on the caller;
 //! 2. [`session`] — a memoizing [`ExperimentSession`] that takes a declarative
 //!    [`ExperimentPlan`] of measurement jobs, content-hashes each job, dedupes repeats
 //!    and memoizes [`Measurement`](mp_sim::Measurement)s across plan submissions, so
@@ -33,6 +31,8 @@
 //! `mp_bench::measure_benchmarks`, the experiment binaries, and the slow integration
 //! tests are all thin wrappers over these layers.
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod dse;
 pub mod executor;
@@ -43,11 +43,7 @@ pub mod shard;
 pub mod store;
 
 pub use dse::ParallelEvaluator;
-pub use executor::{
-    default_workers, par_map, par_map_with_cost, par_map_with_workers,
-    par_map_with_workers_and_cost, scope, scope_with_workers, worker_index, CostHint, Scope,
-    CHUNK_TARGET_ENV, PAR_THRESHOLD_ENV, THREADS_ENV,
-};
+pub use executor::{default_workers, par_map, worker_index, CostHint, THREADS_ENV};
 pub use faults::{FaultPlan, FAULTS_ENV};
 pub use session::{
     BatchRunner, ExperimentPlan, ExperimentSession, JobError, PlannedJob, SessionOptions,

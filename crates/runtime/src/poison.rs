@@ -3,13 +3,13 @@
 //! A `std::sync::Mutex` is *poisoned* when a thread panics while holding it, and every
 //! later `lock()` then returns `Err` forever.  The runtime's critical sections never
 //! run caller code while holding a lock — they only move values in and out of plain
-//! collections (deque push/pop, map insert/lookup, counter updates, `Option` swaps),
+//! collections (queue push/drain, map insert/lookup, counter updates, `Option` swaps),
 //! none of which can leave the collection half-updated when a panic unwinds *elsewhere*
 //! — so the data behind a poisoned lock is always still consistent.  Recovering the
 //! guard instead of panicking is therefore safe, and it is what makes one panicked
 //! measurement job (real or injected by [`faults`](crate::faults)) unable to wedge
-//! every later batch on a poisoned mutex: the pool, the lease/latch handshake and the
-//! session memo cache all keep serving.
+//! every later batch on a poisoned mutex: the session memo cache and the daemon's
+//! batching queue keep serving.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 

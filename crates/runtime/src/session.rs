@@ -21,12 +21,12 @@
 //! all store-specific accounting goes to stderr/telemetry instead
 //! ([`report_store`](ExperimentSession::report_store)).
 //!
-//! Unique jobs are measured on the work-stealing [`executor`](crate::executor); results
+//! Unique jobs are measured on the parallel [`executor`](crate::executor); results
 //! are handed back in plan order, so output is deterministic regardless of the worker
 //! count (the simulator itself is deterministic per job).  A panicking job — real, or
 //! injected via [`faults`](crate::faults) — fails only its own batch entry:
 //! [`measure_batch_resilient`](ExperimentSession::measure_batch_resilient) returns
-//! per-job `Result`s while the worker pool and both cache tiers keep serving.
+//! per-job `Result`s while the executor and both cache tiers keep serving.
 //!
 //! [`with_store`]: ExperimentSession::with_store
 
@@ -271,7 +271,7 @@ pub struct ExperimentSession<P: Platform> {
     /// Total measured wall time and count of platform runs, feeding the executor's
     /// [`CostHint`](executor::CostHint): the session *measures* what its jobs cost and
     /// schedules the next batch accordingly (inline when a batch is too small to pay
-    /// for pool dispatch, chunked when jobs are tiny).
+    /// for spawning workers).
     job_ns: AtomicU64,
     job_runs: AtomicU64,
 }
@@ -367,7 +367,7 @@ impl<P: Platform> ExperimentSession<P> {
     /// ([`DEFAULT_JOB_COST_NS`] until the session has measured anything).
     ///
     /// This is the session's *measured* per-job cost estimate; it only ever influences
-    /// scheduling (inline-vs-parallel, chunk sizing), never results.
+    /// scheduling (inline or parallel), never results.
     pub fn avg_job_ns(&self) -> u64 {
         let runs = self.job_runs.load(Ordering::Relaxed);
         match self.job_ns.load(Ordering::Relaxed).checked_div(runs) {
@@ -412,9 +412,8 @@ impl<P: Platform> ExperimentSession<P> {
     /// [`measure_batch`](Self::measure_batch) with per-job failure isolation: each
     /// result is `Ok(measurement)` or `Err` carrying the panic that killed *that job
     /// alone*.  Failed jobs are never cached (memory or disk) — a later submission
-    /// retries them — and the worker pool, lease/latch handshake and memo cache all
-    /// stay poison-free, so one bad kernel (or one injected fault) can never wedge
-    /// later batches.
+    /// retries them — and the memo cache stays poison-free, so one bad kernel (or one
+    /// injected fault) can never wedge later batches.
     pub fn measure_batch_resilient(
         &self,
         jobs: &[(&MicroBenchmark, CmpSmtConfig)],
@@ -548,45 +547,40 @@ impl<P: Platform> ExperimentSession<P> {
 
     /// Tier 3's in-process path: simulates the cache-missing jobs on the executor.
     /// Panics are caught *inside* the parallel closure, so a failing job surfaces as a
-    /// per-job `Err` while the executor never observes an unwinding task and the pool
-    /// survives intact.
+    /// per-job `Err` while the executor never observes an unwinding task and the rest
+    /// of the batch still runs.
     fn simulate_batch(
         &self,
         jobs: &[(&MicroBenchmark, CmpSmtConfig)],
         to_measure: &[(u128, usize)],
     ) -> Vec<Result<Measurement, JobError>> {
-        executor::par_map_with_workers_and_cost(
-            self.workers(),
-            self.cost_hint(),
-            to_measure,
-            |&(key, index)| {
-                let (benchmark, config) = jobs[index];
-                // Per-job wall time is always measured (two clock reads against a
-                // simulation run): it feeds the cost hint that decides whether the
-                // *next* batch is worth farming out at all, and at what chunk size.
-                let start = std::time::Instant::now();
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    faults::maybe_panic("session.job");
-                    self.platform.run(benchmark, config)
-                }));
-                match outcome {
-                    Ok(measurement) => {
-                        let wall_ns = start.elapsed().as_nanos() as u64;
-                        self.job_ns.fetch_add(wall_ns, Ordering::Relaxed);
-                        self.job_runs.fetch_add(1, Ordering::Relaxed);
-                        if mp_telemetry::enabled() {
-                            mp_telemetry::histogram("session.job_wall_ns", wall_ns);
-                            mp_telemetry::histogram("session.job_sim_cycles", measurement.cycles());
-                        }
-                        Ok(measurement)
+        executor::par_map(self.workers(), self.cost_hint(), to_measure, |&(key, index)| {
+            let (benchmark, config) = jobs[index];
+            // Per-job wall time is always measured (two clock reads against a
+            // simulation run): it feeds the cost hint that decides whether the
+            // *next* batch is worth farming out at all.
+            let start = std::time::Instant::now();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                faults::maybe_panic("session.job");
+                self.platform.run(benchmark, config)
+            }));
+            match outcome {
+                Ok(measurement) => {
+                    let wall_ns = start.elapsed().as_nanos() as u64;
+                    self.job_ns.fetch_add(wall_ns, Ordering::Relaxed);
+                    self.job_runs.fetch_add(1, Ordering::Relaxed);
+                    if mp_telemetry::enabled() {
+                        mp_telemetry::histogram("session.job_wall_ns", wall_ns);
+                        mp_telemetry::histogram("session.job_sim_cycles", measurement.cycles());
                     }
-                    Err(payload) => {
-                        mp_telemetry::counter("session.job_failed", 1);
-                        Err(JobError { key, message: panic_message(payload.as_ref()) })
-                    }
+                    Ok(measurement)
                 }
-            },
-        )
+                Err(payload) => {
+                    mp_telemetry::counter("session.job_failed", 1);
+                    Err(JobError { key, message: panic_message(payload.as_ref()) })
+                }
+            }
+        })
     }
 
     /// Runs a plan and returns one labelled sample per job, in plan order.
@@ -859,7 +853,7 @@ mod tests {
             assert!(error.message.contains("seed=12"), "panics carry their replay seed: {error}");
         }
 
-        // The session (cache, stats, pool) survives: resubmitting with injection off
+        // The session (cache, stats) survives: resubmitting with injection off
         // measures the failed jobs fresh and hits the cache for the survivors.
         let healed = session.measure_batch_resilient(&jobs);
         assert!(healed.iter().all(Result::is_ok), "every job heals on retry");

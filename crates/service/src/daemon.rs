@@ -30,15 +30,10 @@ use crate::protocol::{
     self, DaemonStats, FrameError, MessageType, WireJob, WireResult, MAX_JOBS_PER_FRAME,
 };
 
-/// Environment variable overriding the batching window, in microseconds.
-///
-/// The window is how long the dispatcher waits after the first pending batch for
-/// other connections' jobs to merge into the same session call.  The default
-/// (1000 µs) is far below a single simulation but long enough that a burst of
-/// concurrent clients coalesces.
-pub const BATCH_WINDOW_ENV: &str = "MP_SERVICE_BATCH_WINDOW_US";
-
-const DEFAULT_BATCH_WINDOW: Duration = Duration::from_micros(1000);
+/// How long the dispatcher waits after the first pending batch for other connections'
+/// jobs to merge into the same session call: far below a single simulation, but long
+/// enough that a burst of concurrent clients coalesces.
+const BATCH_WINDOW: Duration = Duration::from_micros(1000);
 
 /// One queued submission: the decoded jobs plus the channel the dispatcher answers on.
 struct Pending {
@@ -58,7 +53,6 @@ struct Inner<P: Platform> {
     digest: u128,
     batcher: Batcher,
     shutdown: AtomicBool,
-    batch_window: Duration,
     connections: AtomicU64,
     batches: AtomicU64,
     jobs: AtomicU64,
@@ -96,10 +90,6 @@ impl<P: Platform + Send + Sync + 'static> MeasurementDaemon<P> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let digest = session.platform().uarch().spec_digest;
-        let batch_window = std::env::var(BATCH_WINDOW_ENV)
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .map_or(DEFAULT_BATCH_WINDOW, Duration::from_micros);
         Ok(Self {
             listener,
             local_addr,
@@ -108,7 +98,6 @@ impl<P: Platform + Send + Sync + 'static> MeasurementDaemon<P> {
                 digest,
                 batcher: Batcher::default(),
                 shutdown: AtomicBool::new(false),
-                batch_window,
                 connections: AtomicU64::new(0),
                 batches: AtomicU64::new(0),
                 jobs: AtomicU64::new(0),
@@ -172,7 +161,7 @@ fn dispatch_loop<P: Platform>(inner: &Inner<P>) {
             }
             // First submission seen: hold the door open one batching window so
             // concurrent clients' jobs coalesce into the same session call.
-            queue = poison::wait_timeout(&inner.batcher.wake, queue, inner.batch_window);
+            queue = poison::wait_timeout(&inner.batcher.wake, queue, BATCH_WINDOW);
             queue.drain(..).collect()
         };
         if drained.is_empty() {

@@ -33,5 +33,5 @@ pub mod daemon;
 pub mod protocol;
 
 pub use client::{RemoteRunner, RemoteSession, SERVICE_ADDR_ENV};
-pub use daemon::{MeasurementDaemon, BATCH_WINDOW_ENV};
+pub use daemon::MeasurementDaemon;
 pub use protocol::{DaemonStats, FrameError, MessageType, WireJob, WireResult};

@@ -1,19 +1,18 @@
 //! Property + regression tests for the cost-aware scheduler in `mp_runtime`.
 //!
-//! The scheduler may *route* a batch however it likes — inline on the caller, one
-//! task per item, or chunked onto the persistent pool — but the routing must be
-//! invisible in the results: for every adversarial job-size mix, every cost hint and
-//! every worker count in `1..=8`, `par_map_with_workers_and_cost` must be
-//! byte-identical to the plain serial loop.  The regression tests then pin the two
-//! routing guarantees the benchmarks rely on: cheap hinted batches never leave the
-//! caller's thread, and expensive batches run on pool workers that are *reused*
-//! across dispatches rather than respawned per call.
+//! The scheduler may *route* a batch however it likes — inline on the caller or
+//! spread over scoped workers — but the routing must be invisible in the results: for
+//! every adversarial job-size mix, every cost hint and every worker count in `1..=8`,
+//! `par_map` must be byte-identical to the plain serial loop.  The regression tests
+//! then pin the two routing guarantees the benchmarks rely on: cheap hinted batches
+//! never leave the caller's thread, and expensive hinted batches run on workers but
+//! never on more of them than the host has cores.
 
 use std::collections::HashSet;
 use std::sync::Mutex;
 use std::thread::{self, ThreadId};
 
-use mp_runtime::{par_map_with_workers_and_cost, worker_index, CostHint};
+use mp_runtime::{par_map, worker_index, CostHint};
 use proptest::prelude::*;
 
 /// A deterministic integer-mixing job whose cost scales with `rounds` — the knob the
@@ -38,16 +37,11 @@ fn job_mixes() -> impl Strategy<Value = Vec<u32>> {
     ]
 }
 
-/// Cost hints covering every scheduling branch: the Unknown default (one task per
-/// item), the forced-inline hint, and per-item estimates from "obviously inline"
-/// through "obviously chunked" — including dishonest ones, which may only cost time,
-/// never correctness.
+/// Cost hints covering every scheduling branch: the Unknown default (every requested
+/// worker) and per-item estimates from "obviously inline" through "obviously
+/// parallel" — including dishonest ones, which may only cost time, never correctness.
 fn hints() -> impl Strategy<Value = CostHint> {
-    prop_oneof![
-        Just(CostHint::Unknown),
-        Just(CostHint::Inline),
-        (1u64..3_000_000).prop_map(CostHint::per_item_ns),
-    ]
+    prop_oneof![Just(CostHint::Unknown), (1u64..3_000_000).prop_map(CostHint::per_item_ns),]
 }
 
 proptest! {
@@ -60,15 +54,14 @@ proptest! {
             jobs.iter().enumerate().map(|(i, &rounds)| (i as u64, rounds)).collect();
         let reference: Vec<u64> = items.iter().map(|&(i, rounds)| spin(rounds, i)).collect();
         for workers in 1usize..=8 {
-            let mapped =
-                par_map_with_workers_and_cost(workers, hint, &items, |&(i, rounds)| spin(rounds, i));
+            let mapped = par_map(workers, hint, &items, |&(i, rounds)| spin(rounds, i));
             prop_assert!(mapped == reference, "diverged at workers={} hint={:?}", workers, hint);
         }
     }
 }
 
 /// A batch whose hinted total cost sits far below the inline threshold must run
-/// entirely on the caller's thread: no pool dispatch, no `worker_index` identity.
+/// entirely on the caller's thread: no workers spawned, no `worker_index` identity.
 #[test]
 fn cheap_hinted_batches_never_reach_the_worker_pool() {
     let caller = thread::current().id();
@@ -76,8 +69,8 @@ fn cheap_hinted_batches_never_reach_the_worker_pool() {
     let threads: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
     // 64 items × 100 ns ≈ 6.4 µs of hinted work — two orders of magnitude under the
     // default 500 µs threshold.
-    let mapped = par_map_with_workers_and_cost(8, CostHint::per_item_ns(100), &items, |&x| {
-        assert!(worker_index().is_none(), "inline job acquired a pool worker identity");
+    let mapped = par_map(8, CostHint::per_item_ns(100), &items, |&x| {
+        assert!(worker_index().is_none(), "inline job acquired a worker identity");
         threads.lock().expect("lock").insert(thread::current().id());
         x + 1
     });
@@ -89,29 +82,26 @@ fn cheap_hinted_batches_never_reach_the_worker_pool() {
     );
 }
 
-/// An expensive hinted batch is chunked onto pool workers (every job carries a
-/// `worker_index` identity), and repeated dispatches reuse those workers instead of
-/// spawning fresh threads per call — the regression that motivated the persistent
-/// pool.
+/// An expensive hinted batch runs on workers (every job carries a `worker_index`
+/// identity), but on no more of them than the host has cores: hinted items are
+/// independent, so extra workers would only thrash a small host's timeslices.
 #[test]
-fn expensive_batches_reuse_persistent_pool_workers() {
-    const BATCHES: usize = 12;
-    const WORKERS: usize = 4;
-    let items: Vec<u64> = (0..64).collect();
+fn expensive_hinted_batches_use_at_most_host_parallelism_workers() {
+    const WORKERS: usize = 16;
+    let host = thread::available_parallelism().map_or(4, |n| n.get());
+    let items: Vec<u64> = (0..256).collect();
+    let workers: Mutex<HashSet<usize>> = Mutex::new(HashSet::new());
     let threads: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
-    for _ in 0..BATCHES {
-        par_map_with_workers_and_cost(WORKERS, CostHint::per_item_ns(1_000_000), &items, |&x| {
-            assert!(worker_index().is_some(), "chunked job ran without a pool worker identity");
-            threads.lock().expect("lock").insert(thread::current().id());
-            spin(64, x)
-        });
-    }
-    // Per-call spawning would mint WORKERS fresh thread ids per batch (ThreadIds are
-    // never reused).  The bound leaves headroom for pool growth forced by other tests
-    // in this binary running concurrently.
-    let distinct = threads.lock().expect("lock").len();
-    assert!(
-        distinct < BATCHES * WORKERS / 2,
-        "{distinct} distinct worker threads across {BATCHES} batches — pool not reused"
-    );
+    let mapped = par_map(WORKERS, CostHint::per_item_ns(1_000_000), &items, |&x| {
+        let me = worker_index().expect("an expensive batch runs on workers");
+        workers.lock().expect("lock").insert(me);
+        threads.lock().expect("lock").insert(thread::current().id());
+        spin(64, x)
+    });
+    assert_eq!(mapped, items.iter().map(|&x| spin(64, x)).collect::<Vec<u64>>());
+    let workers = workers.into_inner().expect("lock");
+    assert!(workers.iter().all(|&w| w < host), "worker index beyond the host cap: {workers:?}");
+    let threads = threads.into_inner().expect("lock");
+    assert!(threads.len() <= host, "{} threads ran a batch capped at {host}", threads.len());
+    assert!(!threads.contains(&thread::current().id()), "a parallel batch ran on the caller");
 }

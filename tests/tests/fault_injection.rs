@@ -4,17 +4,16 @@
 //! stressmark search's quarantine convention), and injected executor delays reorder
 //! scheduling without reordering results.
 //!
-//! The fault plan is process-global, so every test here takes a file-local serial
+//! The fault plan is process-global, so every test here takes the shared serial
 //! lock, installs its own plan, and restores the ambient (`MP_FAULTS`) plan on exit.
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::OnceLock;
 
 use microprobe::ir::MicroBenchmark;
 use microprobe::platform::SimPlatform;
 use microprobe::prelude::*;
-use mp_runtime::{faults, ExperimentSession, FaultPlan, Store};
+use mp_integration::{pin_faults, TempDir};
+use mp_runtime::{ExperimentSession, FaultPlan, Store};
 use mp_sim::Measurement;
 use mp_stressmark::{expert_dse_sequences, StressmarkSearch};
 use mp_uarch::{CmpSmtConfig, SmtMode};
@@ -22,55 +21,6 @@ use mp_uarch::{CmpSmtConfig, SmtMode};
 // ---------------------------------------------------------------------------
 // Harness.
 // ---------------------------------------------------------------------------
-
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Pins the fault plan for the guard's lifetime, restoring the ambient plan on drop.
-struct PlanGuard {
-    ambient: Option<FaultPlan>,
-    _serial: MutexGuard<'static, ()>,
-}
-
-fn pin_faults(plan: Option<FaultPlan>) -> PlanGuard {
-    let guard = serial();
-    let ambient = faults::plan();
-    faults::set_plan(plan);
-    PlanGuard { ambient, _serial: guard }
-}
-
-impl Drop for PlanGuard {
-    fn drop(&mut self) {
-        faults::set_plan(self.ambient);
-    }
-}
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(label: &str) -> Self {
-        static NONCE: AtomicUsize = AtomicUsize::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "mp-faults-it-{label}-{}-{}",
-            std::process::id(),
-            NONCE.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&path).expect("temp dir creates");
-        Self(path)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 fn fast_platform() -> SimPlatform {
     SimPlatform::power7_fast()
@@ -124,7 +74,7 @@ fn injected_io_errors_degrade_the_store_but_never_the_results() {
         io_error: 1.0, // every store read and every write attempt fails
         ..FaultPlan::default()
     }));
-    let dir = TempDir::new("io");
+    let dir = TempDir::new("mp-faults-it-io");
     let session = ExperimentSession::new(fast_platform())
         .with_workers(2)
         .with_store(Store::open(dir.path(), spec_digest()).expect("store opens"));
@@ -141,7 +91,7 @@ fn injected_torn_writes_are_quarantined_on_resume_never_served() {
         let _off = pin_faults(None);
         reference_measurements()
     };
-    let dir = TempDir::new("torn");
+    let dir = TempDir::new("mp-faults-it-torn");
     {
         let _faults = pin_faults(Some(FaultPlan {
             seed: 21,

@@ -1,9 +1,9 @@
 //! Property test: determinism under parallelism.
 //!
-//! For random measurement plans and every worker count in `1..=8`, the work-stealing
-//! executor ([`mp_runtime::par_map_with_workers`]) and the memoizing
-//! [`ExperimentSession`] produce results identical to the serial run — the steal
-//! interleaving may reorder *execution*, but never the *results*.
+//! For random measurement plans and every worker count in `1..=8`, the executor
+//! ([`mp_runtime::par_map`]) and the memoizing [`ExperimentSession`] produce results
+//! identical to the serial run — the worker interleaving may reorder *execution*, but
+//! never the *results*.
 
 use std::sync::OnceLock;
 
@@ -11,7 +11,7 @@ use microprobe::ir::MicroBenchmark;
 use microprobe::platform::{Platform, SimPlatform};
 use microprobe::prelude::*;
 use mp_power::{SampleKind, WorkloadSample};
-use mp_runtime::{par_map_with_workers, ExperimentPlan, ExperimentSession};
+use mp_runtime::{par_map, CostHint, ExperimentPlan, ExperimentSession};
 use mp_sim::{ChipSim, SimOptions};
 use mp_uarch::{CmpSmtConfig, SmtMode};
 use proptest::prelude::*;
@@ -102,7 +102,7 @@ proptest! {
             // Resubmission is answered from the memo cache — still identical.
             prop_assert!(session.run(&plan) == reference, "replay diverged at workers={workers}");
 
-            let mapped = par_map_with_workers(workers, &pairs, |(b, c)| platform.run(b, *c));
+            let mapped = par_map(workers, CostHint::Unknown, &pairs, |(b, c)| platform.run(b, *c));
             prop_assert!(mapped == serial_map, "par_map diverged at workers={workers}");
         }
     }

@@ -12,11 +12,12 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::Arc;
 
 use microprobe::ir::MicroBenchmark;
 use microprobe::platform::{Platform, SimPlatform};
 use microprobe::prelude::*;
+use mp_integration::pin_faults;
 use mp_runtime::{faults, ExperimentSession, FaultPlan, SessionOptions};
 use mp_service::{protocol, MeasurementDaemon, MessageType, RemoteRunner, RemoteSession};
 use mp_sim::Measurement;
@@ -25,31 +26,6 @@ use mp_uarch::{CmpSmtConfig, MicroArchitecture, SmtMode};
 // ---------------------------------------------------------------------------
 // Harness.
 // ---------------------------------------------------------------------------
-
-/// The fault-injection plan is process-global; tests that pin it must not interleave.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Pins the fault plan for the guard's lifetime, restoring the ambient plan on drop.
-struct PlanGuard {
-    ambient: Option<FaultPlan>,
-    _serial: MutexGuard<'static, ()>,
-}
-
-fn pin_faults(plan: Option<FaultPlan>) -> PlanGuard {
-    let guard = serial();
-    let ambient = faults::plan();
-    faults::set_plan(plan);
-    PlanGuard { ambient, _serial: guard }
-}
-
-impl Drop for PlanGuard {
-    fn drop(&mut self) {
-        faults::set_plan(self.ambient);
-    }
-}
 
 /// A platform that counts every real simulation — the proof that the daemon runs
 /// each unique job exactly once no matter how many clients submit it.

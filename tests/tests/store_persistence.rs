@@ -12,12 +12,12 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use microprobe::ir::MicroBenchmark;
 use microprobe::platform::{Platform, SimPlatform};
 use microprobe::prelude::*;
-use mp_runtime::{faults, ExperimentSession, FaultPlan, Store};
+use mp_integration::{pin_faults, TempDir};
+use mp_runtime::{ExperimentSession, Store};
 use mp_sim::{EnergyBreakdown, Measurement, PowerTrace};
 use mp_uarch::{CmpSmtConfig, CounterValues, MicroArchitecture, SmtMode};
 use proptest::prelude::*;
@@ -27,57 +27,6 @@ use rand::{Rng, SeedableRng};
 // ---------------------------------------------------------------------------
 // Harness.
 // ---------------------------------------------------------------------------
-
-/// The fault-injection plan is process-global; tests that pin it must not interleave.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Pins the fault plan for the guard's lifetime, restoring the ambient plan on drop.
-struct PlanGuard {
-    ambient: Option<FaultPlan>,
-    _serial: MutexGuard<'static, ()>,
-}
-
-fn pin_faults(plan: Option<FaultPlan>) -> PlanGuard {
-    let guard = serial();
-    let ambient = faults::plan();
-    faults::set_plan(plan);
-    PlanGuard { ambient, _serial: guard }
-}
-
-impl Drop for PlanGuard {
-    fn drop(&mut self) {
-        faults::set_plan(self.ambient);
-    }
-}
-
-/// A unique, self-cleaning store root under the system temp directory.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(label: &str) -> Self {
-        static NONCE: AtomicUsize = AtomicUsize::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "mp-store-it-{label}-{}-{}",
-            std::process::id(),
-            NONCE.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&path).expect("temp dir creates");
-        Self(path)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// The documented record layout: `<root>/<2-hex-shard>/<key:032x>.mmt` with the shard
 /// being the key's top byte.  Computed independently here so the tests double as a
@@ -215,7 +164,7 @@ proptest! {
         key_hi in 0u64..u64::MAX,
     ) {
         let _faults_off = pin_faults(None);
-        let dir = TempDir::new("roundtrip");
+        let dir = TempDir::new("mp-store-it-roundtrip");
         let key = (u128::from(key_hi) << 64) | u128::from(key_lo);
         let store = Store::open(dir.path(), 7).expect("store opens");
         let original = arbitrary_measurement(seed);
@@ -233,7 +182,7 @@ proptest! {
 #[test]
 fn truncation_at_every_byte_offset_quarantines_and_recomputes() {
     let _faults_off = pin_faults(None);
-    let dir = TempDir::new("torn-sweep");
+    let dir = TempDir::new("mp-store-it-torn-sweep");
     let store = Store::open(dir.path(), spec_digest()).expect("store opens");
     let measurement =
         fast_platform().run(&tiny_benchmark("torn", 3), CmpSmtConfig::new(1, SmtMode::Smt2));
@@ -266,7 +215,7 @@ fn truncation_at_every_byte_offset_quarantines_and_recomputes() {
 #[test]
 fn stale_backend_records_are_evicted_not_served() {
     let _faults_off = pin_faults(None);
-    let dir = TempDir::new("stale");
+    let dir = TempDir::new("mp-store-it-stale");
     let measurement =
         fast_platform().run(&tiny_benchmark("stale", 9), CmpSmtConfig::new(1, SmtMode::Smt1));
     let key = 42u128;
@@ -310,7 +259,7 @@ fn run_plan(session: &ExperimentSession<CountingPlatform>) -> (String, String) {
 #[test]
 fn a_second_run_against_the_same_store_is_pure_disk_hits_with_identical_output() {
     let _faults_off = pin_faults(None);
-    let dir = TempDir::new("resume");
+    let dir = TempDir::new("mp-store-it-resume");
 
     // "Process" 1: cold store, every job simulated and persisted.
     let first = ExperimentSession::new(CountingPlatform::new())
@@ -338,7 +287,7 @@ fn a_second_run_against_the_same_store_is_pure_disk_hits_with_identical_output()
 #[test]
 fn a_run_killed_mid_write_resumes_without_corruption_or_divergence() {
     let _faults_off = pin_faults(None);
-    let dir = TempDir::new("killed");
+    let dir = TempDir::new("mp-store-it-killed");
 
     let first = ExperimentSession::new(CountingPlatform::new())
         .with_workers(2)

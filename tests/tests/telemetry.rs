@@ -7,24 +7,16 @@
 //! The telemetry registry is process-global, so every test takes the `serial()` lock
 //! and leaves the gate disabled and the registry clear on exit.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
 use microprobe::ir::MicroBenchmark;
 use microprobe::platform::SimPlatform;
 use microprobe::prelude::*;
+use mp_integration::serial;
 use mp_power::SampleKind;
 use mp_runtime::{ExperimentPlan, ExperimentSession};
 use mp_sim::fixtures::reference_kernels;
 use mp_sim::{ChipSim, Measurement, SimOptions};
 use mp_telemetry::registry::Aggregate;
 use mp_uarch::{CmpSmtConfig, SmtMode};
-
-/// Serializes the tests in this binary: the telemetry registry and gate are
-/// process-global state.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|poison| poison.into_inner())
-}
 
 /// Restores the disabled/clear state even when a test panics under the lock.
 struct TelemetryOff;
@@ -94,76 +86,10 @@ fn counter_total(agg: &Aggregate, name: &str) -> u64 {
     agg.counters.iter().filter(|(k, _)| k.name == name).map(|(_, v)| *v).sum()
 }
 
-/// A tiny recursive-descent JSON syntax checker — enough to prove the Chrome trace
-/// export is well-formed without a JSON dependency.
-fn json_value(s: &[u8], mut i: usize) -> Result<usize, String> {
-    let skip_ws = |s: &[u8], mut i: usize| {
-        while i < s.len() && (s[i] as char).is_ascii_whitespace() {
-            i += 1;
-        }
-        i
-    };
-    i = skip_ws(s, i);
-    let Some(&c) = s.get(i) else { return Err("unexpected end".into()) };
-    match c {
-        b'{' | b'[' => {
-            let (close, is_obj) = if c == b'{' { (b'}', true) } else { (b']', false) };
-            i = skip_ws(s, i + 1);
-            if s.get(i) == Some(&close) {
-                return Ok(i + 1);
-            }
-            loop {
-                if is_obj {
-                    i = json_value(s, i)?; // key (string, checked as a value)
-                    i = skip_ws(s, i);
-                    if s.get(i) != Some(&b':') {
-                        return Err(format!("expected ':' at byte {i}"));
-                    }
-                    i += 1;
-                }
-                i = json_value(s, i)?;
-                i = skip_ws(s, i);
-                match s.get(i) {
-                    Some(b',') => i = skip_ws(s, i + 1),
-                    Some(&b) if b == close => return Ok(i + 1),
-                    other => return Err(format!("expected ',' or close, got {other:?}")),
-                }
-            }
-        }
-        b'"' => {
-            i += 1;
-            while let Some(&b) = s.get(i) {
-                match b {
-                    b'"' => return Ok(i + 1),
-                    b'\\' => i += 2,
-                    _ => i += 1,
-                }
-            }
-            Err("unterminated string".into())
-        }
-        b't' => s[i..].starts_with(b"true").then(|| i + 4).ok_or_else(|| "bad literal".into()),
-        b'f' => s[i..].starts_with(b"false").then(|| i + 5).ok_or_else(|| "bad literal".into()),
-        b'n' => s[i..].starts_with(b"null").then(|| i + 4).ok_or_else(|| "bad literal".into()),
-        _ => {
-            let start = i;
-            while i < s.len() && matches!(s[i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-                i += 1;
-            }
-            if i == start {
-                return Err(format!("unexpected byte {c:#x} at {i}"));
-            }
-            Ok(i)
-        }
-    }
-}
-
 fn assert_valid_json(text: &str) {
-    let bytes = text.as_bytes();
-    let end = json_value(bytes, 0).unwrap_or_else(|e| panic!("invalid JSON: {e}\n{text}"));
-    assert!(
-        bytes[end..].iter().all(|b| (*b as char).is_ascii_whitespace()),
-        "trailing garbage after JSON document"
-    );
+    if let Err(e) = mp_bench::json::parse(text) {
+        panic!("invalid JSON: {e}\n{text}");
+    }
 }
 
 #[test]
@@ -213,13 +139,11 @@ fn summary_reports_executor_and_session_metrics() {
     let agg = mp_telemetry::snapshot();
     assert!(counter_total(&agg, "session.miss") > 0, "no session misses recorded");
     assert!(counter_total(&agg, "session.hit") > 0, "no session hits recorded");
-    // The steal counters must at least be *registered*, even if this host ran the
-    // plan on the inline path or the workers never had to steal.
-    assert!(
-        agg.counters.keys().any(|k| k.name == "executor.steal"),
-        "executor.steal key missing from the aggregate"
-    );
     assert!(counter_total(&agg, "executor.jobs") > 0, "executor recorded no jobs");
+    assert!(
+        agg.gauges.keys().any(|k| k.name == "executor.workers"),
+        "executor.workers gauge missing from the aggregate"
+    );
     assert!(agg.spans.contains_key("session.measure_batch"), "batch span missing");
     assert!(agg.spans.contains_key("sim.cycle_loop"), "cycle-loop span missing");
 
@@ -228,7 +152,7 @@ fn summary_reports_executor_and_session_metrics() {
     for line in summary.lines().filter(|l| !l.is_empty()) {
         assert!(line.starts_with('#'), "non-comment summary line: {line}");
     }
-    for needle in ["executor.steal", "session.hit", "session.miss", "sim.cycle_loop"] {
+    for needle in ["executor.jobs", "session.hit", "session.miss", "sim.cycle_loop"] {
         assert!(summary.contains(needle), "summary missing {needle}:\n{summary}");
     }
 }
@@ -240,37 +164,16 @@ fn cost_scheduler_reports_inline_and_pool_metrics() {
     mp_telemetry::set_enabled(true);
 
     let items: Vec<u64> = (0..32).collect();
-    // A cheap hinted batch (32 × 50 ns ≪ the inline threshold) takes the measured
-    // inline fallback...
-    mp_runtime::par_map_with_workers_and_cost(
-        8,
-        mp_runtime::CostHint::per_item_ns(50),
-        &items,
-        |&x| x + 1,
-    );
-    // ...and an expensive one is chunked onto the persistent pool.
-    mp_runtime::par_map_with_workers_and_cost(
-        2,
-        mp_runtime::CostHint::per_item_ns(1_000_000),
-        &items,
-        |&x| x + 1,
-    );
+    // A cheap hinted batch (32 × 50 ns ≪ the inline threshold) runs inline...
+    mp_runtime::par_map(8, mp_runtime::CostHint::per_item_ns(50), &items, |&x| x + 1);
+    // ...and an expensive one on scoped workers, one `executor.task` span per item.
+    mp_runtime::par_map(2, mp_runtime::CostHint::per_item_ns(1_000_000), &items, |&x| x + 1);
 
     let agg = mp_telemetry::snapshot();
-    assert!(
-        counter_total(&agg, "executor.inline_fallback") > 0,
-        "cheap batch did not record an inline fallback"
-    );
-    assert!(counter_total(&agg, "executor.inline_jobs") > 0, "inline jobs not counted");
-    assert!(counter_total(&agg, "executor.chunks") > 0, "expensive batch recorded no chunks");
-    assert!(
-        agg.histograms.keys().any(|k| k.name == "executor.chunk_size"),
-        "chunk-size histogram missing from the aggregate"
-    );
-    assert!(
-        counter_total(&agg, "executor.pool_spawn") + counter_total(&agg, "executor.pool_reuse") > 0,
-        "pool dispatch recorded neither a spawn nor a reuse"
-    );
+    assert_eq!(counter_total(&agg, "executor.inline_jobs"), 32, "inline jobs not counted");
+    assert_eq!(counter_total(&agg, "executor.jobs"), 64, "executor jobs not counted");
+    let tasks = agg.spans.get("executor.task").expect("executor.task span missing");
+    assert_eq!(tasks.durations.count, 32, "the parallel batch must record one task span per item");
 }
 
 #[test]
